@@ -14,7 +14,7 @@ from .measurements import Measurement, NoiseSpec
 from .network import NetworkModel, load_network, parse_network
 from .partition import PartitionPlan, detect_topology, separate, separate_on_switches
 from .pipeline import EstimationResult, estimate, estimate_with_plan
-from .sdpmat import build_matrix_set, count_variables, eval_measurement
+from .sdpmat import build_matrix_set, count_variables
 from .solver import SolveReport, SolverConfig, solve
 from .stats import ErrorStats, compute_error_stats
 
@@ -42,7 +42,6 @@ __all__ = [
     "detect_topology",
     "estimate",
     "estimate_with_plan",
-    "eval_measurement",
     "load_network",
     "parse_network",
     "separate",

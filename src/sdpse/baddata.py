@@ -20,10 +20,13 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BudgetExceededError, SolverError, ValidationError
-from .measurements import Measurement
+from .measurements import Measurement, state_to_X
 from .network import NetworkModel
 from .pipeline import EstimationResult, estimate
+from .problem import lifted_readings
 from .sdpmat import MeasurementMatrixSet
 from .solver import SolverConfig
 
@@ -219,9 +222,15 @@ def detect(
     measurements: Sequence[Measurement],
     threshold: float = 3.0,
 ) -> List[SuspectSet]:
+    residuals = compute_redundancy_residuals(model, mats, measurements)
+    return _suspect_sets(residuals, threshold)
+
+
+def _suspect_sets(
+    residuals: Sequence[RedundancyResidual], threshold: float
+) -> List[SuspectSet]:
     if not (threshold > 0):
         raise ValidationError("threshold must be positive")
-    residuals = compute_redundancy_residuals(model, mats, measurements)
     return [
         SuspectSet(trigger=r, members=list(r.members))
         for r in residuals
@@ -324,23 +333,11 @@ def _fit_error(
     result: EstimationResult,
     exclude: set,
 ) -> float:
-    from .measurements import matrix_for, state_to_X
-
+    kept = [m for i, m in enumerate(measurements) if i not in exclude]
+    rows, z, sigma = lifted_readings(mats, kept)
     X = state_to_X(result.V)
-    err = 0.0
-    for i, m in enumerate(measurements):
-        if i in exclude:
-            continue
-        A = matrix_for(mats, m.kind, m.node, m.far_node)
-        pred = A.quad(X)
-        if m.kind == "Vmag":
-            z = m.value**2
-            sig = max(2.0 * abs(m.value) * m.sigma, 1e-12)
-        else:
-            z = m.value
-            sig = m.sigma
-        err += ((z - pred) / sig) ** 2
-    return err
+    r = (z - mats.values(rows, np.outer(X, X))) / sigma
+    return float(np.dot(r, r))
 
 
 def run_bad_data(
@@ -355,11 +352,7 @@ def run_bad_data(
     """Full pipeline: prefilter, detect, identify (if needed), estimate."""
     kept, removed = prefilter_obvious(measurements)
     residuals = compute_redundancy_residuals(model, mats, kept)
-    suspects = [
-        SuspectSet(trigger=r, members=list(r.members))
-        for r in residuals
-        if abs(r.normalized) > threshold
-    ]
+    suspects = _suspect_sets(residuals, threshold)
     if suspects:
         culprits, result, evaluated = identify_and_reestimate(
             model, mats, kept, suspects, anchors, config, max_combinations

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .network import NetworkModel
 from .rand import normal_stream, subseed
-from .sdpmat import MeasurementMatrixSet, PairData, eval_measurement
+from .sdpmat import MeasurementMatrixSet, PairData
 
 KINDS = ("P_inj", "Q_inj", "P_flow", "Q_flow", "Vmag")
 PROVENANCES = ("real", "pseudo", "zero_injection")
@@ -159,26 +159,6 @@ def full_plan(model: NetworkModel, mats: MeasurementMatrixSet) -> List[PlanEntry
     return plan
 
 
-def matrix_for(mats: MeasurementMatrixSet, kind: str, node: int, far_node=None):
-    try:
-        if kind == "P_inj":
-            return mats.inj_p[node]
-        if kind == "Q_inj":
-            return mats.inj_q[node]
-        if kind == "Vmag":
-            return mats.vmag[node]
-        if kind == "P_flow":
-            return mats.flow_p[(node, far_node)]
-        if kind == "Q_flow":
-            return mats.flow_q[(node, far_node)]
-    except KeyError:
-        raise ValidationError(
-            f"no {kind} location at node {node}"
-            + (f" -> {far_node}" if far_node is not None else "")
-        )
-    raise ValidationError(f"unknown measurement kind {kind!r}")
-
-
 def synthesize(
     model: NetworkModel,
     mats: MeasurementMatrixSet,
@@ -192,13 +172,13 @@ def synthesize(
     consumes the i-th draw of the derived stream.
     """
     draws = normal_stream(subseed(noise.seed, "synthesize"), len(plan))
+    X = np.asarray(X_true, dtype=float)
+    exact = mats.values(mats.rows_of(plan), np.outer(X, X))
     out: List[Measurement] = []
-    for (kind, node, far), g in zip(plan, draws):
-        A = matrix_for(mats, kind, node, far)
-        exact = eval_measurement(A, X_true)
+    for (kind, node, far), e, g in zip(plan, exact, draws):
         if kind == "Vmag":
-            exact = math.sqrt(max(exact, 0.0))
-        value = exact + noise.noise_sigma(kind) * g
+            e = math.sqrt(max(e, 0.0))
+        value = e + noise.noise_sigma(kind) * g
         out.append(
             Measurement(
                 kind=kind,

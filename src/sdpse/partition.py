@@ -19,9 +19,9 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .measurements import Measurement, repair_observability
 from .network import NetworkModel, adjacency, restrict
-from .problem import assemble_problem, extract_state
+from .problem import assemble_problem, solve_to_state
 from .sdpmat import build_matrix_set
-from .solver import SolverConfig, solve
+from .solver import SolverConfig
 
 
 @dataclass
@@ -335,18 +335,9 @@ def estimate_decoupled(
         ]
         try:
             prob = assemble_problem(mats, sub_meas, anchor_nodes)
-            report = solve(prob, config)
+            report, X, ratio = solve_to_state(prob, config)
         except (ValidationError, SolverError) as exc:
             raise type(exc)(f"sub-network {k}: {exc}")
-        if report.status == "numerical_failure":
-            raise SolverError(f"sub-network {k}: solver failed, merge aborted")
-        if report.polished_X is not None:
-            X = report.polished_X
-            ratio = report.rank1_ratio_raw
-            if X[anchor_nodes[0]] < 0:
-                X = -X
-        else:
-            X, ratio = extract_state(report.W, anchor_nodes)
         nsub = submodel.n_nodes
         V_sub = X[:nsub] + 1j * X[nsub:]
         shift = np.exp(1j * np.radians(anchors_by_sub[k][0].ref_angle_deg))

@@ -8,14 +8,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import SolverError, UnobservableError
+from .errors import UnobservableError
 from .measurements import Measurement, repair_observability
 from .network import NetworkModel
 from .observability import analyze
 from .partition import PartitionPlan, SubReport, estimate_decoupled
-from .problem import assemble_problem, compute_residuals, extract_state
+from .problem import assemble_problem, compute_residuals, solve_to_state
 from .sdpmat import MeasurementMatrixSet, build_matrix_set
-from .solver import SolverConfig, solve
+from .solver import SolverConfig
 
 
 @dataclass
@@ -68,17 +68,7 @@ def estimate(
         meas, repair_log = repair_observability(model, mats, meas, repair_method)
 
     problem = assemble_problem(mats, meas, anchors)
-    report = solve(problem, config)
-    if report.status == "numerical_failure":
-        raise SolverError("solver failed to produce a PSD iterate")
-    if report.polished_X is not None:
-        X = report.polished_X
-        ratio = report.rank1_ratio_raw
-        pivot = anchors[0] if len(anchors) else 0
-        if X[pivot] < 0:
-            X = -X
-    else:
-        X, ratio = extract_state(report.W, anchors)
+    report, X, ratio = solve_to_state(problem, config)
     n = model.n_nodes
     V = X[:n] + 1j * X[n:]
     r, rn = compute_residuals(problem, np.outer(X, X))

@@ -16,8 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import RankRecoveryError, SolverError, ValidationError
-from .measurements import Measurement, matrix_for
-from .sdpmat import MeasurementMatrixSet, SdpMatrix
+from .measurements import Measurement
+from .sdpmat import MeasurementMatrixSet
+from .solver import SolveReport, SolverConfig, solve
 
 RANK1_SILENT = 1e-4
 RANK1_ERROR = 0.1
@@ -26,7 +27,7 @@ RANK1_ERROR = 0.1
 @dataclass
 class SdpProblem:
     matrix_set: MeasurementMatrixSet
-    matrices: List[SdpMatrix]
+    rows: np.ndarray  # row id of each measurement in the matrix set
     z: np.ndarray
     sigma: np.ndarray
     anchors: List[int]
@@ -38,16 +39,13 @@ class SdpProblem:
 
     @property
     def n_measurements(self) -> int:
-        return len(self.matrices)
+        return len(self.rows)
 
 
 def _node_components(mats: MeasurementMatrixSet) -> List[set]:
     n = mats.n_nodes
     seen = [False] * n
     comps = []
-    neighbors = {k: [] for k in range(n)}
-    for (l, m) in mats.pairs:
-        neighbors[l].append(m)
     for start in range(n):
         if seen[start]:
             continue
@@ -57,7 +55,7 @@ def _node_components(mats: MeasurementMatrixSet) -> List[set]:
         while stack:
             i = stack.pop()
             comp.add(i)
-            for j in neighbors[i]:
+            for j in mats.neighbors(i):
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
@@ -65,20 +63,40 @@ def _node_components(mats: MeasurementMatrixSet) -> List[set]:
     return comps
 
 
+def lifted_readings(
+    mats: MeasurementMatrixSet, measurements: Sequence[Measurement]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row ids, targets z_i and sigmas of readings as functionals of W.
+
+    Magnitude readings are squared here; their sigma is propagated to first
+    order (sigma of |V|^2 is about 2 |V| sigma of |V|).
+    """
+    rows = mats.rows_of((m.kind, m.node, m.far_node) for m in measurements)
+    value = np.array([m.value for m in measurements], dtype=float)
+    sigma = np.array([m.sigma for m in measurements], dtype=float)
+    vmag = np.array([m.kind == "Vmag" for m in measurements], dtype=bool)
+    z = np.where(vmag, value * value, value)
+    sig = np.where(vmag, np.maximum(2.0 * np.abs(value) * sigma, 1e-12), sigma)
+    bad = np.flatnonzero(~(np.isfinite(z) & np.isfinite(sig)))
+    if len(bad):
+        i = int(bad[0])
+        raise ValidationError(
+            f"measurement {i}: non-finite reading {measurements[i].value}"
+        )
+    return rows, z, sig
+
+
 def assemble_problem(
     mats: MeasurementMatrixSet,
     measurements: Sequence[Measurement],
     anchors: Sequence[int],
 ) -> SdpProblem:
-    """Turn measurements into (A_i, z_i, sigma_i) triples plus anchors.
-
-    Magnitude readings are squared here; their sigma is propagated to first
-    order (sigma of |V|^2 is about 2 |V| sigma of |V|).
-    """
+    """Turn measurements into (row, z_i, sigma_i) triples plus anchors,
+    deduplicated in the given order."""
     if not measurements:
         raise ValidationError("empty measurement list")
     n = mats.n_nodes
-    anchors = sorted(set(int(a) for a in anchors))
+    anchors = list(dict.fromkeys(int(a) for a in anchors))
     for a in anchors:
         if not (0 <= a < n):
             raise ValidationError(f"anchor node {a} out of range")
@@ -88,25 +106,13 @@ def assemble_problem(
                 f"no anchor in connected component containing node {min(comp)}; "
                 "the angle reference is undetermined"
             )
-    matrices: List[SdpMatrix] = []
-    z = np.empty(len(measurements))
-    sig = np.empty(len(measurements))
-    for i, m in enumerate(measurements):
-        matrices.append(matrix_for(mats, m.kind, m.node, m.far_node))
-        if m.kind == "Vmag":
-            z[i] = m.value * m.value
-            sig[i] = max(2.0 * abs(m.value) * m.sigma, 1e-12)
-        else:
-            z[i] = m.value
-            sig[i] = m.sigma
-        if not (sig[i] > 0):
-            raise ValidationError(f"measurement {i}: non-positive variance")
+    rows, z, sig = lifted_readings(mats, measurements)
     return SdpProblem(
         matrix_set=mats,
-        matrices=matrices,
+        rows=rows,
         z=z,
         sigma=sig,
-        anchors=list(anchors),
+        anchors=anchors,
         measurements=list(measurements),
     )
 
@@ -115,8 +121,29 @@ def compute_residuals(
     problem: SdpProblem, W: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Raw residuals z_i - Tr(A_i W) and their sigma-normalized values."""
-    r = np.array([problem.z[i] - A.dot(W) for i, A in enumerate(problem.matrices)])
+    r = problem.z - problem.matrix_set.values(problem.rows, W)
     return r, r / problem.sigma
+
+
+def solve_to_state(
+    problem: SdpProblem, config: Optional[SolverConfig] = None
+) -> Tuple[SolveReport, np.ndarray, float]:
+    """Solve and return the report, the lifted state X and its rank-1 ratio.
+
+    The polished rank-one point is used when the solver kept it, with the
+    sign fixed so the first anchor's real part is non-negative; otherwise the
+    state is extracted from W.
+    """
+    report = solve(problem, config)
+    if report.status == "numerical_failure":
+        raise SolverError("solver failed to produce a PSD iterate")
+    if report.polished_X is None:
+        X, ratio = extract_state(report.W, problem.anchors)
+        return report, X, ratio
+    X = report.polished_X
+    if X[problem.anchors[0]] < 0:
+        X = -X
+    return report, X, report.rank1_ratio_raw
 
 
 def extract_state(

@@ -1,4 +1,4 @@
-"""Coefficient matrices of the lifted formulation.
+"""Coefficient matrices of the lifted formulation, held as one term table.
 
 Every scalar measurement on the network is a linear functional of the lifted
 state W = X X^T, where X stacks the real parts of the node voltages over the
@@ -13,123 +13,37 @@ realizing those functionals:
 
 Flows are referenced *into* the end node: Tr(Y_lm W) is the active power the
 branch delivers into node l, so on a lossless branch the two end flows sum to
-zero.  Each matrix is stored as a flat list of (row, col, coeff) terms; branch
-matrices touch at most 16 entries, which the solver exploits heavily.
+zero.  All matrices live in one table: an index from the location
+(kind, node, far_node) to a row id, and flat (row, p, q, c) arrays, sorted by
+(row, p, q), with Tr(A_row W) = sum c * W[p, q] over the row's terms.  The
+terms cover both triangles; branch rows touch at most 16 entries, which the
+solver exploits heavily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .network import NetworkModel
 
-
-class SdpMatrix:
-    """Sparse real symmetric matrix stored as explicit (row, col, coeff) terms.
-
-    The term list covers both triangles, so Tr(A W) = sum c * W[p, q] without
-    any symmetry bookkeeping at evaluation time.
-    """
-
-    __slots__ = ("dim", "rows", "cols", "coeffs")
-
-    def __init__(self, dim: int, entries: Dict[Tuple[int, int], float]):
-        self.dim = dim
-        items = sorted((rc, v) for rc, v in entries.items() if v != 0.0)
-        self.rows = np.array([rc[0] for rc, _ in items], dtype=np.intp)
-        self.cols = np.array([rc[1] for rc, _ in items], dtype=np.intp)
-        self.coeffs = np.array([v for _, v in items], dtype=float)
-
-    def dot(self, W: np.ndarray) -> float:
-        """Tr(A W) for dense symmetric W."""
-        if W.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"dimension mismatch: matrix is {self.dim}, W is {W.shape}"
-            )
-        return float(np.dot(self.coeffs, W[self.rows, self.cols]))
-
-    def quad(self, X: np.ndarray) -> float:
-        """X^T A X without forming the outer product."""
-        if X.shape[-1] != self.dim:
-            raise ValidationError(
-                f"dimension mismatch: matrix is {self.dim}, X is {X.shape}"
-            )
-        return float(np.dot(self.coeffs, X[self.rows] * X[self.cols]))
-
-    def matvec(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        np.add.at(out, self.rows, self.coeffs * X[self.cols])
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.dim, self.dim))
-        A[self.rows, self.cols] = self.coeffs
-        return A
-
-    def __add__(self, other: "SdpMatrix") -> "SdpMatrix":
-        entries: Dict[Tuple[int, int], float] = {}
-        for mat in (self, other):
-            for r, c, v in zip(mat.rows, mat.cols, mat.coeffs):
-                entries[(int(r), int(c))] = entries.get((int(r), int(c)), 0.0) + v
-        return SdpMatrix(self.dim, entries)
-
-    def __sub__(self, other: "SdpMatrix") -> "SdpMatrix":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor: float) -> "SdpMatrix":
-        entries = {
-            (int(r), int(c)): factor * v
-            for r, c, v in zip(self.rows, self.cols, self.coeffs)
-        }
-        return SdpMatrix(self.dim, entries)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
+Location = Tuple[str, int, Optional[int]]
 
 
-def _accumulate(entries: Dict[Tuple[int, int], float], r: int, c: int, v: float) -> None:
-    if v != 0.0:
-        entries[(r, c)] = entries.get((r, c), 0.0) + v
-
-
-def realify_active(
-    n: int, complex_entries: Iterable[Tuple[int, int, complex]]
-) -> SdpMatrix:
-    """Real symmetric A with X^T A X = Re{V^H C V} for C given entrywise."""
-    entries: Dict[Tuple[int, int], float] = {}
-    for a, b, v in complex_entries:
-        vr, vi = v.real, v.imag
-        _accumulate(entries, a, b, vr / 2.0)
-        _accumulate(entries, b, a, vr / 2.0)
-        _accumulate(entries, n + a, n + b, vr / 2.0)
-        _accumulate(entries, n + b, n + a, vr / 2.0)
-        _accumulate(entries, b, n + a, vi / 2.0)
-        _accumulate(entries, a, n + b, -vi / 2.0)
-        _accumulate(entries, n + a, b, vi / 2.0)
-        _accumulate(entries, n + b, a, -vi / 2.0)
-    return SdpMatrix(2 * n, entries)
-
-
-def realify_reactive(
-    n: int, complex_entries: Iterable[Tuple[int, int, complex]]
-) -> SdpMatrix:
-    """Real symmetric A with X^T A X = -Im{V^H C V} for C given entrywise."""
-    entries: Dict[Tuple[int, int], float] = {}
-    for a, b, v in complex_entries:
-        vr, vi = v.real, v.imag
-        _accumulate(entries, a, b, -vi / 2.0)
-        _accumulate(entries, b, a, -vi / 2.0)
-        _accumulate(entries, n + a, n + b, -vi / 2.0)
-        _accumulate(entries, n + b, n + a, -vi / 2.0)
-        _accumulate(entries, a, n + b, -vr / 2.0)
-        _accumulate(entries, b, n + a, vr / 2.0)
-        _accumulate(entries, n + b, a, -vr / 2.0)
-        _accumulate(entries, n + a, b, vr / 2.0)
-    return SdpMatrix(2 * n, entries)
+def realify(
+    a: np.ndarray, b: np.ndarray, v: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms (p, q, c) of the real symmetric A with X^T A X = Re{V^H C V},
+    where C holds v[e] at (a[e], b[e]).  Each entry gives 8 consecutive terms
+    (possibly repeating a position); -Im{V^H C V} is the form of 1j * v."""
+    vr, vi = v.real / 2.0, v.imag / 2.0
+    p = np.stack([a, b, n + a, n + b, b, a, n + a, n + b], axis=1).ravel()
+    q = np.stack([b, a, n + b, n + a, n + a, n + b, b, a], axis=1).ravel()
+    c = np.stack([vr, vr, vr, vr, vi, -vi, vi, -vi], axis=1).ravel()
+    return p, q, c
 
 
 @dataclass(frozen=True)
@@ -142,7 +56,12 @@ class PairData:
 
 
 class MeasurementMatrixSet:
-    """All coefficient matrices for one network, keyed by node or node pair."""
+    """The coefficient matrix of every measurement location of one network.
+
+    ``index`` maps (kind, node, far_node) to a row id; ``row``, ``p``, ``q``
+    and ``c`` are the terms of all rows, and the terms of row r are the slice
+    ``start[r]:start[r + 1]``.
+    """
 
     def __init__(self, model: NetworkModel):
         self.model = model
@@ -163,35 +82,104 @@ class MeasurementMatrixSet:
             key: PairData(series=pair_series[key], shunt_at_from=pair_shunt[key])
             for key in pair_series
         }
+        self._neighbors: List[List[int]] = [[] for _ in range(n)]
+        for l, m in sorted(self.pairs):
+            self._neighbors[l].append(m)
 
-        ybus = model.ybus
-        self.inj_p: Dict[int, SdpMatrix] = {}
-        self.inj_q: Dict[int, SdpMatrix] = {}
-        self.vmag: Dict[int, SdpMatrix] = {}
-        for k in range(n):
-            row = [(k, j, ybus[k, j]) for j in np.nonzero(ybus[k])[0]]
-            self.inj_p[k] = realify_active(n, row)
-            self.inj_q[k] = realify_reactive(n, row)
-            self.vmag[k] = SdpMatrix(2 * n, {(k, k): 1.0, (n + k, n + k): 1.0})
+        # Rows: P_inj, Q_inj and Vmag per node, then P_flow and Q_flow per pair.
+        keys = list(self.pairs)
+        n_pairs = len(keys)
+        nodes = range(n)
+        locations: List[Location] = (
+            [("P_inj", k, None) for k in nodes]
+            + [("Q_inj", k, None) for k in nodes]
+            + [("Vmag", k, None) for k in nodes]
+            + [("P_flow", l, m) for l, m in keys]
+            + [("Q_flow", l, m) for l, m in keys]
+        )
+        self.index: Dict[Location, int] = {loc: r for r, loc in enumerate(locations)}
 
-        self.flow_p: Dict[Tuple[int, int], SdpMatrix] = {}
-        self.flow_q: Dict[Tuple[int, int], SdpMatrix] = {}
-        for (l, m), pd in self.pairs.items():
-            flow_entries = [(l, l, -(pd.series + pd.shunt_at_from)), (l, m, pd.series)]
-            self.flow_p[(l, m)] = realify_active(n, flow_entries)
-            self.flow_q[(l, m)] = realify_reactive(n, flow_entries)
+        # Complex entries (active row, a, b, v): Ybus row k for the injection
+        # at k; -(series + shunt) at (l, l) and series at (l, m) for a flow.
+        ks, js = np.nonzero(model.ybus)
+        ls = np.array([l for l, _ in keys], dtype=np.intp)
+        ms = np.array([m for _, m in keys], dtype=np.intp)
+        series = np.array([self.pairs[key].series for key in keys], dtype=complex)
+        shunt = np.array([self.pairs[key].shunt_at_from for key in keys], dtype=complex)
+        flow_rows = 3 * n + np.arange(n_pairs)
+        ent_row = np.concatenate([ks, flow_rows, flow_rows])
+        ent_a = np.concatenate([ks, ls, ls])
+        ent_b = np.concatenate([js, ls, ms])
+        ent_v = np.concatenate([model.ybus[ks, js], -(series + shunt), series])
+        # The reactive row of each active row sits n (injections) or n_pairs
+        # (flows) further on.
+        offset = np.where(ent_row < n, n, n_pairs)
+
+        p_act, q_act, c_act = realify(ent_a, ent_b, ent_v, n)
+        p_rea, q_rea, c_rea = realify(ent_a, ent_b, 1j * ent_v, n)
+        diag = np.arange(2 * n)
+        row = np.concatenate(
+            [np.repeat(ent_row, 8), np.repeat(ent_row + offset, 8), 2 * n + diag % n]
+        )
+        p = np.concatenate([p_act, p_rea, diag])
+        q = np.concatenate([q_act, q_rea, diag])
+        c = np.concatenate([c_act, c_rea, np.ones(2 * n)])
+
+        # Sort by (row, p, q), sum repeated positions, drop exact zeros.
+        order = np.lexsort((q, p, row))
+        row, p, q, c = row[order], p[order], q[order], c[order]
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (p[1:] != p[:-1]) | (q[1:] != q[:-1])
+        heads = np.flatnonzero(first)
+        c = np.add.reduceat(c, heads)
+        nz = c != 0.0
+        self.row = row[heads][nz]
+        self.p = p[heads][nz]
+        self.q = q[heads][nz]
+        self.c = c[nz]
+        self.start = np.searchsorted(self.row, np.arange(len(locations) + 1))
 
     def neighbors(self, k: int) -> List[int]:
-        return sorted(m for (l, m) in self.pairs if l == k)
+        return self._neighbors[k]
+
+    def rows_of(self, locations: Iterable[Sequence]) -> np.ndarray:
+        """Row ids of (kind, node, far_node) locations, in the given order."""
+        out = []
+        for kind, node, far in locations:
+            r = self.index.get((kind, node, far))
+            if r is None:
+                raise ValidationError(
+                    f"no {kind} location at node {node}"
+                    + (f" -> {far}" if far is not None else "")
+                )
+            out.append(r)
+        return np.array(out, dtype=np.intp)
+
+    def terms(
+        self, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Terms (i, p, q, c) of the given rows, where i is a row's position
+        in ``rows``; each row's terms stay in (p, q) order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lo = self.start[rows]
+        count = self.start[rows + 1] - lo
+        i = np.repeat(np.arange(len(rows)), count)
+        idx = np.arange(len(i)) + np.repeat(lo - (np.cumsum(count) - count), count)
+        return i, self.p[idx], self.q[idx], self.c[idx]
+
+    def values(self, rows: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Tr(A_r W) for each of the given rows, W a dense lifted matrix."""
+        W = np.asarray(W, dtype=float)
+        if W.shape != (self.dim, self.dim):
+            raise ValidationError(
+                f"dimension mismatch: matrices are {self.dim}, W is {W.shape}"
+            )
+        i, p, q, c = self.terms(rows)
+        return np.bincount(i, weights=c * W[p, q], minlength=len(rows))
 
 
 def build_matrix_set(model: NetworkModel) -> MeasurementMatrixSet:
     return MeasurementMatrixSet(model)
-
-
-def eval_measurement(A: SdpMatrix, X: np.ndarray) -> float:
-    """Value of the measurement functional at the (unlifted) state X."""
-    return A.quad(np.asarray(X, dtype=float))
 
 
 def count_variables(n_nodes: int, n_branches: int) -> Dict[str, int]:

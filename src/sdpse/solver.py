@@ -20,14 +20,16 @@ ill-posed problems keep the (honestly bad) barrier solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .problem import SdpProblem
+
+if TYPE_CHECKING:
+    from .problem import SdpProblem
 
 
 @dataclass
@@ -63,27 +65,18 @@ class _Terms:
     (anchor-eliminated) index set."""
 
     def __init__(self, problem: SdpProblem, keep: np.ndarray):
-        dim = problem.dim
-        pos = -np.ones(dim, dtype=np.intp)
+        pos = -np.ones(problem.dim, dtype=np.intp)
         pos[keep] = np.arange(len(keep))
-        rows: List[np.ndarray] = []
-        p_parts: List[np.ndarray] = []
-        q_parts: List[np.ndarray] = []
-        c_parts: List[np.ndarray] = []
-        for i, A in enumerate(problem.matrices):
-            p = pos[A.rows]
-            q = pos[A.cols]
-            ok = (p >= 0) & (q >= 0)
-            p_parts.append(p[ok])
-            q_parts.append(q[ok])
-            c_parts.append(A.coeffs[ok])
-            rows.append(np.full(ok.sum(), i, dtype=np.intp))
+        row, p, q, c = problem.matrix_set.terms(problem.rows)
+        p = pos[p]
+        q = pos[q]
+        ok = (p >= 0) & (q >= 0)
         self.m = problem.n_measurements
         self.d = len(keep)
-        self.row = np.concatenate(rows)
-        self.p = np.concatenate(p_parts)
-        self.q = np.concatenate(q_parts)
-        self.c = np.concatenate(c_parts)
+        self.row = row[ok]
+        self.p = p[ok]
+        self.q = q[ok]
+        self.c = c[ok]
         self.n_terms = len(self.c)
         # m x n_terms selector carrying the coefficients.
         self.S = sp.csr_matrix(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import netgen
+from test_sdpmat import dense
 from sdpse.baddata import (
     _replace_from_identity,
     compute_redundancy_residuals,
@@ -161,6 +162,13 @@ def test_run_bad_data_clean_path(redundant_case):
     assert np.max(np.abs(np.abs(result.V) - np.abs(V))) < 1e-5
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0])
+def test_run_bad_data_rejects_non_positive_threshold(redundant_case, threshold):
+    model, mats, V, meas = redundant_case
+    with pytest.raises(ValidationError, match="threshold must be positive"):
+        run_bad_data(model, mats, meas, anchors=[0], threshold=threshold)
+
+
 def test_reduced_jacobian_normal_matrix_is_singular():
     """The full measurement set maps onto fewer independent rows than the
     distinct unknowns, so the normal matrix of the reduced Jacobian cannot be
@@ -177,13 +185,12 @@ def test_reduced_jacobian_normal_matrix_is_singular():
             continue
         for key in ((l, m), (n + l, n + m), (l, n + m), (m, n + l)):
             columns.setdefault(key, len(columns))
-    from sdpse.measurements import full_plan as fp, matrix_for
+    from sdpse.measurements import full_plan as fp
 
     plan = fp(model, mats)
     J = np.zeros((len(plan), len(columns)))
     for i, (kind, node, far) in enumerate(plan):
-        A = matrix_for(mats, kind, node, far)
-        D = A.to_dense()
+        D = dense(mats, kind, node, far)
         for (p, q), j in columns.items():
             J[i, j] = D[p, q] if p == q else D[p, q] + D[q, p]
     normal = J.T @ J

@@ -97,6 +97,26 @@ def test_estimate_input_mode_validation(workdir):
     assert res.exit_code == 2
 
 
+def test_estimate_non_finite_reading_exits_2(workdir):
+    synth_out = workdir["root"] / "synth_nan"
+    run_cli(
+        ["synth", "--network", str(workdir["net"]), "--state", str(workdir["truth"]),
+         "--noise-level", "0", "--out", str(synth_out)]
+    )
+    doc = json.loads((synth_out / "measurements.json").read_text())
+    doc[1]["value"] = float("nan")
+    bad_file = workdir["root"] / "nan_meas.json"
+    bad_file.write_text(json.dumps(doc))
+    res = run_cli(
+        ["estimate", "--network", str(workdir["net"]),
+         "--measurements", str(bad_file),
+         "--anchors", str(workdir["anchors"]),
+         "--out", str(workdir["root"] / "est_nan")]
+    )
+    assert res.exit_code == 2
+    assert "non-finite reading" in res.output
+
+
 def test_invalid_network_exits_2(workdir):
     bad = workdir["root"] / "bad_net.json"
     doc = netgen.chain_doc(3)
@@ -224,6 +244,25 @@ def test_baddata_command(workdir):
     assert rep["culprits"][0]["location"] == {"bus": "b3", "phase": "A"}
     stats = json.loads((out / "error_stats.json").read_text())
     assert stats["voltage_magnitude_pu"]["maximum"] < 1e-4
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_baddata_non_positive_threshold_exits_2(workdir, threshold):
+    synth_out = workdir["root"] / f"synth_threshold{threshold}"
+    run_cli(
+        ["synth", "--network", str(workdir["net"]), "--state", str(workdir["truth"]),
+         "--noise-level", "2", "--both-ends", "--injections", "all",
+         "--vmag-buses", "all", "--out", str(synth_out)]
+    )
+    res = run_cli(
+        ["baddata", "--network", str(workdir["net"]),
+         "--measurements", str(synth_out / "measurements.json"),
+         "--anchors", str(workdir["anchors"]),
+         "--threshold", threshold,
+         "--out", str(workdir["root"] / "baddata_threshold")]
+    )
+    assert res.exit_code == 2
+    assert "threshold must be positive" in res.output
 
 
 def test_synth_zero_injection_buses(workdir):

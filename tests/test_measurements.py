@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import netgen
+from test_sdpmat import dense
 from sdpse.errors import ValidationError
 from sdpse.measurements import (
     DEFAULT_SIGMA,
@@ -27,7 +28,7 @@ from sdpse.measurements import (
     state_to_X,
     synthesize,
 )
-from sdpse.sdpmat import PairData, build_matrix_set, eval_measurement
+from sdpse.sdpmat import PairData, build_matrix_set
 
 
 @pytest.fixture
@@ -96,12 +97,8 @@ def test_synthesize_exact_at_level_zero(chain6):
         if m.kind == "Vmag":
             assert m.value == pytest.approx(abs(V[m.node]), abs=1e-12)
         else:
-            from sdpse.measurements import matrix_for
-
-            assert m.value == pytest.approx(
-                eval_measurement(matrix_for(mats, m.kind, m.node, m.far_node), X),
-                abs=1e-12,
-            )
+            D = dense(mats, m.kind, m.node, m.far_node)
+            assert m.value == pytest.approx(X @ D @ X, abs=1e-12)
         assert m.sigma == DEFAULT_SIGMA[m.kind]
 
 

@@ -97,6 +97,16 @@ def test_empty_measurements_rejected():
         assemble_problem(mats, [], anchors=[0])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", ["P_inj", "Vmag"])
+def test_non_finite_reading_rejected(kind, value):
+    model = netgen.model_from(netgen.chain_doc(3))
+    mats = build_matrix_set(model)
+    meas = [Measurement("Vmag", 0, 1.0, 0.01), Measurement(kind, 1, value, 0.01)]
+    with pytest.raises(ValidationError, match="measurement 1: non-finite reading"):
+        assemble_problem(mats, meas, anchors=[0])
+
+
 def test_anchor_out_of_range_rejected():
     model = netgen.model_from(netgen.chain_doc(3))
     mats = build_matrix_set(model)
