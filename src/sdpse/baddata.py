@@ -3,13 +3,14 @@ by re-estimation sweeps.
 
 Every fully-metered node yields an exact balance identity (injection plus
 incident flows), and every fully-metered zero-shunt branch yields two more
-(loss balance and voltage drop).  Under clean data each identity's residual
-is zero-mean Gaussian with a composable variance; a residual far outside its
-sigma flags all participating measurements as suspects.  Identification then
-tries, for each combination of one suspect per violated identity, replacing
-the hypothesized culprit by the value its own identity implies, re-running
-the estimator, and keeping the combination that best explains the untouched
-measurements.
+(loss balance and voltage drop); ``MeasurementMatrixSet.identities`` lists
+them, the same list that observability analysis counts.  Under clean data
+each identity's residual is zero-mean Gaussian with a composable variance; a
+residual far outside its sigma flags all participating measurements as
+suspects.  Identification then tries, for each combination of one suspect per
+violated identity, replacing the hypothesized culprit by the value its own
+identity implies, re-running the estimator, and keeping the combination that
+best explains the untouched measurements.
 """
 
 from __future__ import annotations
@@ -65,13 +66,8 @@ class SuspectSet:
 
 def _loc_name(model: NetworkModel, loc: Tuple) -> dict:
     if len(loc) == 1:
-        nd = model.nodes[loc[0]]
-        return {"bus": nd.bus, "phase": nd.phase}
-    a, b = model.nodes[loc[0]], model.nodes[loc[1]]
-    return {
-        "from": {"bus": a.bus, "phase": a.phase},
-        "to": {"bus": b.bus, "phase": b.phase},
-    }
+        return model.node_name(loc[0])
+    return {"from": model.node_name(loc[0]), "to": model.node_name(loc[1])}
 
 
 def prefilter_obvious(
@@ -102,118 +98,49 @@ def compute_redundancy_residuals(
     for i, m in enumerate(measurements):
         idx[(m.kind, m.node, m.far_node)] = i
 
-    def get(kind, node, far=None):
-        return idx.get((kind, node, far))
-
     out: List[RedundancyResidual] = []
-
-    # Node balance: injection plus all incident flows sums to zero.
-    for k in range(mats.n_nodes):
-        nbrs = mats.neighbors(k)
-        for res_kind, kind_inj, kind_flow in (
-            ("node_P", "P_inj", "P_flow"),
-            ("node_Q", "Q_inj", "Q_flow"),
-        ):
-            ids = [get(kind_inj, k)] + [get(kind_flow, k, m) for m in nbrs]
-            if any(i is None for i in ids):
-                continue
-            u = sum(measurements[i].value for i in ids)
-            var = sum(measurements[i].variance for i in ids)
-            sigma = math.sqrt(max(var, SIGMA2_FLOOR))
-            out.append(
-                RedundancyResidual(
-                    kind=res_kind,
-                    location=(k,),
-                    u=u,
-                    sigma=sigma,
-                    normalized=u / sigma,
-                    members=list(ids),
-                    terms=[(i, 1.0, False) for i in ids],
-                )
-            )
-
-    # Branch identities on zero-shunt pairs, using the off-diagonal bus
-    # admittance entry y = ybus(l, m).
-    for (l, m), pd in sorted(mats.pairs.items()):
-        if l > m:
-            continue
-        if pd.shunt_at_from != 0 or mats.pairs[(m, l)].shunt_at_from != 0:
-            continue
-        y = model.ybus[l, m]
-        ids4 = [
-            get("P_flow", l, m),
-            get("P_flow", m, l),
-            get("Q_flow", l, m),
-            get("Q_flow", m, l),
-        ]
-        if any(i is None for i in ids4):
-            continue
-        plm, pml, qlm, qml = (measurements[i] for i in ids4)
-        gi, gr = y.imag, y.real
-        u1 = gi * (plm.value + pml.value) + gr * (qlm.value + qml.value)
-        var1 = gi * gi * (plm.variance + pml.variance) + gr * gr * (
-            qlm.variance + qml.variance
-        )
-        sigma1 = math.sqrt(max(var1, SIGMA2_FLOOR))
-        out.append(
-            RedundancyResidual(
-                kind="branch_1",
-                location=(l, m),
-                u=u1,
-                sigma=sigma1,
-                normalized=u1 / sigma1,
-                members=list(ids4),
-                terms=[
-                    (ids4[0], gi, False),
-                    (ids4[1], gi, False),
-                    (ids4[2], gr, False),
-                    (ids4[3], gr, False),
-                ],
-            )
-        )
-        vl_i = get("Vmag", l)
-        vm_i = get("Vmag", m)
-        if vl_i is None or vm_i is None:
-            continue
-        vl, vm = measurements[vl_i], measurements[vm_i]
-        y2 = abs(y) ** 2
-        u2 = (
-            gr * (plm.value - pml.value)
-            - gi * (qlm.value - qml.value)
-            - y2 * (vl.value**2 - vm.value**2)
-        )
-        var_vdiff = (2 * vl.value * vl.sigma) ** 2 + (2 * vm.value * vm.sigma) ** 2
-        var2 = (
-            gr * gr * (plm.variance + pml.variance)
-            + gi * gi * (qlm.variance + qml.variance)
-            + y2 * y2 * var_vdiff
-        )
-        if var2 <= 0:
+    for identity in mats.identities(idx):
+        terms = [(idx[loc], coeff, squared) for loc, coeff, squared in identity.terms]
+        u, var = _identity_sum(measurements, terms)
+        if var <= 0:
             warnings.warn(
-                f"voltage-drop residual variance non-positive ({var2:.3g}) on "
-                f"pair ({l},{m}); flooring at {SIGMA2_FLOOR}",
+                f"{identity.kind} residual variance non-positive ({var:.3g}) at "
+                f"{identity.location}; flooring at {SIGMA2_FLOOR}",
                 stacklevel=2,
             )
-        sigma2 = math.sqrt(max(var2, SIGMA2_FLOOR))
+        sigma = math.sqrt(max(var, SIGMA2_FLOOR))
         out.append(
             RedundancyResidual(
-                kind="branch_2",
-                location=(l, m),
-                u=u2,
-                sigma=sigma2,
-                normalized=u2 / sigma2,
-                members=ids4 + [vl_i, vm_i],
-                terms=[
-                    (ids4[0], gr, False),
-                    (ids4[1], -gr, False),
-                    (ids4[2], -gi, False),
-                    (ids4[3], gi, False),
-                    (vl_i, -y2, True),
-                    (vm_i, y2, True),
-                ],
+                kind=identity.kind,
+                location=identity.location,
+                u=u,
+                sigma=sigma,
+                normalized=u / sigma,
+                members=[i for i, _, _ in terms],
+                terms=terms,
             )
         )
     return out
+
+
+def _identity_sum(
+    measurements: Sequence[Measurement],
+    terms: Sequence[Tuple[int, float, bool]],
+    skip: Optional[int] = None,
+) -> Tuple[float, float]:
+    """Sum of coeff * s over the identity terms other than ``skip``, and its
+    variance, the sum of coeff^2 * var(s); s is the reading, or its square
+    for magnitude channels."""
+    u = var = 0.0
+    for i, coeff, squared in terms:
+        if i == skip:
+            continue
+        meas = measurements[i]
+        s = meas.value**2 if squared else meas.value
+        var_s = (2 * meas.value * meas.sigma) ** 2 if squared else meas.variance
+        u += coeff * s
+        var += coeff * coeff * var_s
+    return u, var
 
 
 def detect(
@@ -242,22 +169,11 @@ def _replace_from_identity(
     measurements: List[Measurement], residual: RedundancyResidual, target: int
 ) -> Optional[Measurement]:
     """Solve the identity for the target measurement; None when infeasible."""
-    c_k = None
-    squared_k = False
-    acc = 0.0
-    var_acc = 0.0
-    for i, coeff, squared in residual.terms:
-        meas = measurements[i]
-        if i == target:
-            c_k = coeff
-            squared_k = squared
-            continue
-        s = meas.value**2 if squared else meas.value
-        var_s = (2 * meas.value * meas.sigma) ** 2 if squared else meas.variance
-        acc += coeff * s
-        var_acc += coeff * coeff * var_s
-    if c_k is None or c_k == 0.0:
+    own = [(coeff, squared) for i, coeff, squared in residual.terms if i == target]
+    if not own or own[0][0] == 0.0:
         return None
+    c_k, squared_k = own[0]
+    acc, var_acc = _identity_sum(measurements, residual.terms, skip=target)
     s_k = -acc / c_k
     var_k = var_acc / (c_k * c_k)
     old = measurements[target]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -79,11 +79,6 @@ class Measurement:
     @property
     def variance(self) -> float:
         return self.sigma * self.sigma
-
-    def location(self):
-        if self.far_node is None:
-            return self.node
-        return (self.node, self.far_node)
 
 
 @dataclass(frozen=True)
@@ -204,10 +199,6 @@ def add_zero_injection(
             out.append(Measurement("P_inj", k, 0.0, sigma, provenance="zero_injection"))
             out.append(Measurement("Q_inj", k, 0.0, sigma, provenance="zero_injection"))
     return out
-
-
-def _far_end_counterpart(kind: str, l: int, m: int, measured: Set[PlanEntry]) -> bool:
-    return (kind, m, l) in measured
 
 
 def pseudo_negate(meas: Measurement, pair: PairData) -> Measurement:
@@ -345,25 +336,10 @@ def repair_observability(
     }
     out = list(measurements)
     log: List[dict] = []
-    for (l, m) in sorted(mats.pairs):
-        if l > m:
-            continue
-        pair = mats.pairs[(l, m)]
-        p_here = by_loc.get(("P_flow", l, m))
-        q_here = by_loc.get(("Q_flow", l, m))
-        p_there = ("P_flow", m, l) in by_loc
-        q_there = ("Q_flow", m, l) in by_loc
-        near: List[Measurement] = []
-        if (p_here or q_here) and not (p_there or q_there):
-            near = [x for x in (p_here, q_here) if x is not None]
-        elif (p_there or q_there) and not (p_here or q_here):
-            pair = mats.pairs[(m, l)]
-            p_here = by_loc.get(("P_flow", m, l))
-            q_here = by_loc.get(("Q_flow", m, l))
-            near = [x for x in (p_here, q_here) if x is not None]
-        if not near:
-            continue
-
+    for near, far in mats.one_sided(by_loc):
+        pair = mats.pairs[(near, far)]
+        p_here = by_loc.get(("P_flow", near, far))
+        q_here = by_loc.get(("Q_flow", near, far))
         z = 1.0 / pair.series
         # Prefer the active-power relation; switch to reactive when the
         # branch is purely resistive (the reactive relation is then exact)
@@ -372,8 +348,6 @@ def repair_observability(
         if p_here is None or (z.imag == 0.0 and z.real != 0.0 and q_here is not None):
             target = "Q_flow"
         base = p_here if target == "P_flow" else q_here
-        if base is None:
-            continue
 
         if method == "negate":
             pseudo = pseudo_negate(base, pair)
@@ -389,8 +363,8 @@ def repair_observability(
         out.append(pseudo)
         log.append(
             {
-                "from": _node_name(model, pseudo.node),
-                "to": _node_name(model, pseudo.far_node),
+                "from": model.node_name(pseudo.node),
+                "to": model.node_name(pseudo.far_node),
                 "kind": pseudo.kind,
                 "method": method,
                 "value": pseudo.value,
@@ -398,11 +372,6 @@ def repair_observability(
             }
         )
     return out, log
-
-
-def _node_name(model: NetworkModel, idx: int) -> dict:
-    nd = model.nodes[idx]
-    return {"bus": nd.bus, "phase": nd.phase}
 
 
 # ---------------------------------------------------------------------------

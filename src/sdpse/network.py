@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -97,6 +97,11 @@ class NetworkModel:
 
     def nodes_of_bus(self, bus: str) -> List[int]:
         return [n.index for n in self.nodes if n.bus == bus]
+
+    def node_name(self, idx: int) -> dict:
+        """The {"bus", "phase"} record that reports use for a node."""
+        nd = self.nodes[idx]
+        return {"bus": nd.bus, "phase": nd.phase}
 
 
 def assemble_ybus(

@@ -4,17 +4,20 @@ The lifted formulation has 3 distinct unknowns per node and 4 per branch,
 while even the largest measurement set supplies only n + 2m independent
 equations, so the margin is thin and one-sided branch flows are enough to
 break it.  The analysis here is combinatorial (coefficient supports and
-redundancy identities), not a numerical rank computation.
+redundancy identities), not a numerical rank computation.  The identities and
+the one-sided branch pairs come from ``MeasurementMatrixSet.identities`` and
+``MeasurementMatrixSet.one_sided``, the enumerators that observability repair
+and bad-data detection use as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .measurements import Measurement
 from .network import NetworkModel
-from .sdpmat import MeasurementMatrixSet, count_variables
+from .sdpmat import Identity, MeasurementMatrixSet, count_variables
 
 
 @dataclass
@@ -43,9 +46,23 @@ class ObservabilityReport:
         }
 
 
-def _name(model: NetworkModel, idx: int) -> dict:
-    nd = model.nodes[idx]
-    return {"bus": nd.bus, "phase": nd.phase}
+_BRANCH_IDENTITY = {"branch_1": "loss", "branch_2": "voltage_drop"}
+
+
+def _point(model: NetworkModel, identity: Identity) -> dict:
+    if identity.kind in ("node_P", "node_Q"):
+        return {
+            "type": "node",
+            "quantity": identity.kind[-1],
+            "node": model.node_name(identity.location[0]),
+        }
+    l, m = identity.location
+    return {
+        "type": "branch",
+        "identity": _BRANCH_IDENTITY[identity.kind],
+        "from": model.node_name(l),
+        "to": model.node_name(m),
+    }
 
 
 def analyze(
@@ -58,51 +75,13 @@ def analyze(
     for m in measurements:
         measured.add((m.kind, m.node, m.far_node))
 
-    # Node identities: injection plus every incident flow of the same kind.
-    redundancy_points: List[dict] = []
-    deductions = 0
-    for k in range(mats.n_nodes):
-        nbrs = mats.neighbors(k)
-        for kind_inj, kind_flow in (("P_inj", "P_flow"), ("Q_inj", "Q_flow")):
-            if (kind_inj, k, None) in measured and all(
-                (kind_flow, k, m) in measured for m in nbrs
-            ):
-                deductions += 1
-                redundancy_points.append(
-                    {"type": "node", "quantity": kind_inj[0], "node": _name(model, k)}
-                )
-
-    # Branch identities: both-end P and Q flows (loss identity), plus both-end
-    # magnitudes (voltage-drop identity); zero-shunt pairs only.
-    one_sided: List[dict] = []
-    for (l, m), pd in sorted(mats.pairs.items()):
-        if l > m:
-            continue
-        here = any((kd, l, m) in measured for kd in ("P_flow", "Q_flow"))
-        there = any((kd, m, l) in measured for kd in ("P_flow", "Q_flow"))
-        if here != there:
-            src, dst = (l, m) if here else (m, l)
-            one_sided.append({"from": _name(model, src), "to": _name(model, dst)})
-        shunt_free = (
-            pd.shunt_at_from == 0 and mats.pairs[(m, l)].shunt_at_from == 0
-        )
-        full_flows = all(
-            (kd, a, b) in measured
-            for kd in ("P_flow", "Q_flow")
-            for (a, b) in ((l, m), (m, l))
-        )
-        if shunt_free and full_flows:
-            deductions += 1
-            redundancy_points.append(
-                {"type": "branch", "identity": "loss",
-                 "from": _name(model, l), "to": _name(model, m)}
-            )
-            if ("Vmag", l, None) in measured and ("Vmag", m, None) in measured:
-                deductions += 1
-                redundancy_points.append(
-                    {"type": "branch", "identity": "voltage_drop",
-                     "from": _name(model, l), "to": _name(model, m)}
-                )
+    identities = mats.identities(measured)
+    deductions = len(identities)
+    redundancy_points = [_point(model, ident) for ident in identities]
+    one_sided = [
+        {"from": model.node_name(near), "to": model.node_name(far)}
+        for near, far in mats.one_sided(measured)
+    ]
 
     # Coverage: a node that no measurement's coefficient support touches can
     # take any value without changing a single residual.
@@ -117,7 +96,7 @@ def analyze(
         else:
             covered.add(m.node)
     uncovered = [
-        _name(model, k) for k in range(mats.n_nodes) if k not in covered
+        model.node_name(k) for k in range(mats.n_nodes) if k not in covered
     ]
 
     if uncovered:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .measurements import Measurement, repair_observability
+from .measurements import Measurement, X_to_state, repair_observability
 from .network import NetworkModel, adjacency, restrict
 from .problem import assemble_problem, solve_to_state
 from .sdpmat import build_matrix_set
@@ -338,15 +338,14 @@ def estimate_decoupled(
             report, X, ratio = solve_to_state(prob, config)
         except (ValidationError, SolverError) as exc:
             raise type(exc)(f"sub-network {k}: {exc}")
-        nsub = submodel.n_nodes
-        V_sub = X[:nsub] + 1j * X[nsub:]
+        V_sub = X_to_state(X)
         shift = np.exp(1j * np.radians(anchors_by_sub[k][0].ref_angle_deg))
         for old, new in node_map.items():
             V[old] = V_sub[new] * shift
         reports.append(
             SubReport(
                 sub=k,
-                n_nodes=nsub,
+                n_nodes=submodel.n_nodes,
                 objective=report.objective,
                 iterations=report.iterations,
                 status=report.status,

@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import UnobservableError
-from .measurements import Measurement, repair_observability
+from .measurements import Measurement, X_to_state, repair_observability
 from .network import NetworkModel
 from .observability import analyze
 from .partition import PartitionPlan, SubReport, estimate_decoupled
@@ -69,8 +69,7 @@ def estimate(
 
     problem = assemble_problem(mats, meas, anchors)
     report, X, ratio = solve_to_state(problem, config)
-    n = model.n_nodes
-    V = X[:n] + 1j * X[n:]
+    V = X_to_state(X)
     r, rn = compute_residuals(problem, np.outer(X, X))
     return EstimationResult(
         V=V,

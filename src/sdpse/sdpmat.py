@@ -18,12 +18,16 @@ zero.  All matrices live in one table: an index from the location
 (row, p, q), with Tr(A_row W) = sum c * W[p, q] over the row's terms.  The
 terms cover both triangles; branch rows touch at most 16 entries, which the
 solver exploits heavily.
+
+The same set lists the network's structural redundancy identities and its
+one-sided branch pairs for a given set of measured locations; observability
+analysis, repair and bad-data detection all take them from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +48,16 @@ def realify(
     q = np.stack([b, a, n + b, n + a, n + a, n + b, b, a], axis=1).ravel()
     c = np.stack([vr, vr, vr, vr, vi, -vi, vi, -vi], axis=1).ravel()
     return p, q, c
+
+
+class Identity(NamedTuple):
+    """A structural redundancy identity: sum(coeff * s) over ``terms``
+    vanishes on exact readings, where s is the reading at the term's location
+    or, when the term is squared, the square of that reading."""
+
+    kind: str  # node_P | node_Q | branch_1 | branch_2
+    location: Tuple[int, ...]  # (node,) or (l, m)
+    terms: List[Tuple[Location, float, bool]]
 
 
 @dataclass(frozen=True)
@@ -176,6 +190,68 @@ class MeasurementMatrixSet:
             )
         i, p, q, c = self.terms(rows)
         return np.bincount(i, weights=c * W[p, q], minlength=len(rows))
+
+    def identities(self, present: Container[Location]) -> List[Identity]:
+        """The redundancy identities whose every reading is in ``present``.
+
+        A node whose injection and every incident flow of one kind are
+        present balances them to zero (node_P, node_Q).  A zero-shunt pair
+        with P and Q flows at both ends gives the loss identity (branch_1),
+        and with both end magnitudes as well the voltage-drop identity
+        (branch_2); both use the off-diagonal bus admittance y = ybus[l, m].
+        Order: nodes ascending with P before Q, then pairs l < m ascending
+        with loss before voltage drop.
+        """
+        out: List[Identity] = []
+        for k in range(self.n_nodes):
+            for inj, flow in (("P_inj", "P_flow"), ("Q_inj", "Q_flow")):
+                locs = [(inj, k, None)] + [(flow, k, m) for m in self._neighbors[k]]
+                if all(loc in present for loc in locs):
+                    terms = [(loc, 1.0, False) for loc in locs]
+                    out.append(Identity(f"node_{inj[0]}", (k,), terms))
+        for (l, m), pd in sorted(self.pairs.items()):
+            if l > m or pd.shunt_at_from != 0 or self.pairs[(m, l)].shunt_at_from != 0:
+                continue
+            p_lm, p_ml = ("P_flow", l, m), ("P_flow", m, l)
+            q_lm, q_ml = ("Q_flow", l, m), ("Q_flow", m, l)
+            if not all(loc in present for loc in (p_lm, p_ml, q_lm, q_ml)):
+                continue
+            y = self.model.ybus[l, m]
+            gr, gi = y.real, y.imag
+            out.append(
+                Identity(
+                    "branch_1",
+                    (l, m),
+                    [(p_lm, gi, False), (p_ml, gi, False),
+                     (q_lm, gr, False), (q_ml, gr, False)],
+                )
+            )
+            v_l, v_m = ("Vmag", l, None), ("Vmag", m, None)
+            if v_l in present and v_m in present:
+                y2 = abs(y) ** 2
+                out.append(
+                    Identity(
+                        "branch_2",
+                        (l, m),
+                        [(p_lm, gr, False), (p_ml, -gr, False),
+                         (q_lm, -gi, False), (q_ml, gi, False),
+                         (v_l, -y2, True), (v_m, y2, True)],
+                    )
+                )
+        return out
+
+    def one_sided(self, present: Container[Location]) -> List[Tuple[int, int]]:
+        """(near, far) of every node pair whose flow readings in ``present``
+        sit at one end only, pairs ascending."""
+        out: List[Tuple[int, int]] = []
+        for l, m in sorted(self.pairs):
+            if l > m:
+                continue
+            here = ("P_flow", l, m) in present or ("Q_flow", l, m) in present
+            there = ("P_flow", m, l) in present or ("Q_flow", m, l) in present
+            if here != there:
+                out.append((l, m) if here else (m, l))
+        return out
 
 
 def build_matrix_set(model: NetworkModel) -> MeasurementMatrixSet:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -15,10 +18,12 @@ from sdpse.errors import BudgetExceededError, ValidationError
 from sdpse.measurements import (
     Measurement,
     NoiseSpec,
+    default_plan,
     full_plan,
     state_to_X,
     synthesize,
 )
+from sdpse.observability import analyze
 from sdpse.sdpmat import build_matrix_set
 
 
@@ -197,3 +202,94 @@ def test_reduced_jacobian_normal_matrix_is_singular():
     assert len(columns) == 3 * n + 4 * model.n_closed_branches
     rank = np.linalg.matrix_rank(normal)
     assert rank < len(columns)
+
+
+def shunted_chain_doc():
+    doc = netgen.chain_doc(8, seed=23)
+    doc["branches"][2]["shunt_b"] = 0.05
+    doc["branches"][5]["shunt_b"] = 0.02
+    return doc
+
+
+def identity_case(doc, plan_kind, level):
+    model = netgen.model_from(doc)
+    mats = build_matrix_set(model)
+    V = netgen.random_state(model, seed=24)
+    plan = full_plan(model, mats)
+    if plan_kind == "partial":
+        rng = random.Random(25)
+        plan = [e for e in plan if rng.random() < 0.85] + default_plan(model, mats)
+    meas = synthesize(model, mats, state_to_X(V), plan, NoiseSpec(level=level, seed=26))
+    return model, mats, meas
+
+
+IDENTITY_CASES = [
+    pytest.param(lambda: netgen.chain_doc(6, seed=21), "full", id="chain-full"),
+    pytest.param(lambda: netgen.tree_doc(30, seed=27), "partial", id="tree-partial"),
+    pytest.param(netgen.multiphase_feeder_doc, "full", id="multiphase-full"),
+    pytest.param(shunted_chain_doc, "full", id="shunted-chain-full"),
+]
+
+
+@pytest.mark.parametrize("make_doc, plan_kind", IDENTITY_CASES)
+def test_observability_and_baddata_share_identities(make_doc, plan_kind):
+    model, mats, meas = identity_case(make_doc(), plan_kind, level=0)
+    names = {"P": "node_P", "Q": "node_Q", "loss": "branch_1", "voltage_drop": "branch_2"}
+    points = [
+        (names[p["quantity"]], [p["node"]])
+        if p["type"] == "node"
+        else (names[p["identity"]], [p["from"], p["to"]])
+        for p in analyze(model, mats, meas).redundancy_points
+    ]
+    residuals = [
+        (r.kind, [model.node_name(k) for k in r.location])
+        for r in compute_redundancy_residuals(model, mats, meas)
+    ]
+    assert points == residuals
+    assert {kind for kind, _ in residuals} >= {"node_P", "node_Q", "branch_1"}
+
+
+def closed_form_branch(model, meas, kind, l, m):
+    """Loss (branch_1) or voltage-drop (branch_2) residual of pair (l, m) and
+    its sigma in closed form, with y = ybus[l, m]."""
+    at = {(x.kind, x.node, x.far_node): x for x in meas}
+    plm, pml = at[("P_flow", l, m)], at[("P_flow", m, l)]
+    qlm, qml = at[("Q_flow", l, m)], at[("Q_flow", m, l)]
+    y = model.ybus[l, m]
+    gi, gr = y.imag, y.real
+    if kind == "branch_1":
+        u = gi * (plm.value + pml.value) + gr * (qlm.value + qml.value)
+        var = gi * gi * (plm.variance + pml.variance) + gr * gr * (
+            qlm.variance + qml.variance
+        )
+    else:
+        vl, vm = at[("Vmag", l, None)], at[("Vmag", m, None)]
+        y2 = abs(y) ** 2
+        u = (
+            gr * (plm.value - pml.value)
+            - gi * (qlm.value - qml.value)
+            - y2 * (vl.value**2 - vm.value**2)
+        )
+        var_vdiff = (2 * vl.value * vl.sigma) ** 2 + (2 * vm.value * vm.sigma) ** 2
+        var = (
+            gr * gr * (plm.variance + pml.variance)
+            + gi * gi * (qlm.variance + qml.variance)
+            + y2 * y2 * var_vdiff
+        )
+    return u, math.sqrt(max(var, 1e-18))
+
+
+@pytest.mark.parametrize("level", [0, 3])
+@pytest.mark.parametrize("make_doc, plan_kind", IDENTITY_CASES)
+def test_branch_residuals_match_closed_form(make_doc, plan_kind, level):
+    model, mats, meas = identity_case(make_doc(), plan_kind, level)
+    branch = [
+        r for r in compute_redundancy_residuals(model, mats, meas)
+        if r.kind in ("branch_1", "branch_2")
+    ]
+    assert branch
+    for r in branch:
+        u, sigma = closed_form_branch(model, meas, r.kind, *r.location)
+        assert r.sigma == pytest.approx(sigma, rel=1e-9)
+        # Relative to the residual's own scale: at level 0, u is rounding.
+        assert r.u == pytest.approx(u, rel=1e-9, abs=1e-9 * sigma)

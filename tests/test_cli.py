@@ -28,6 +28,43 @@ def run_cli(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
 
 
+@pytest.fixture(scope="module")
+def synth0(workdir):
+    """Noise-free readings of the default plan, whose flows are one-sided."""
+    out = workdir["root"] / "synth0"
+    res = run_cli(
+        ["synth", "--network", str(workdir["net"]), "--state", str(workdir["truth"]),
+         "--noise-level", "0", "--out", str(out)]
+    )
+    assert res.exit_code == 0, res.output
+    return out / "measurements.json"
+
+
+@pytest.fixture(scope="module")
+def estimated(workdir, synth0):
+    """Monolithic estimate from ``synth0`` with the default repair."""
+    est_out = workdir["root"] / "est"
+    res = run_cli(
+        ["estimate", "--network", str(workdir["net"]),
+         "--measurements", str(synth0),
+         "--anchors", str(workdir["anchors"]),
+         "--state", str(workdir["truth"]),
+         "--out", str(est_out)]
+    )
+    return res, est_out
+
+
+@pytest.fixture(scope="module")
+def partitioned(workdir):
+    """Automatic partition of the chain into sub-networks of 3 buses."""
+    out = workdir["root"] / "part"
+    res = run_cli(
+        ["partition", "--network", str(workdir["net"]),
+         "--auto-partition-size", "3", "--out", str(out)]
+    )
+    return res, out / "plan.json"
+
+
 def test_synth_writes_measurements(workdir):
     out = workdir["root"] / "synth"
     res = run_cli(
@@ -41,20 +78,8 @@ def test_synth_writes_measurements(workdir):
     assert kinds == {"P_flow", "Q_flow", "P_inj", "Q_inj", "Vmag"}
 
 
-def test_estimate_from_measurements(workdir):
-    synth_out = workdir["root"] / "synth0"
-    run_cli(
-        ["synth", "--network", str(workdir["net"]), "--state", str(workdir["truth"]),
-         "--noise-level", "0", "--out", str(synth_out)]
-    )
-    est_out = workdir["root"] / "est"
-    res = run_cli(
-        ["estimate", "--network", str(workdir["net"]),
-         "--measurements", str(synth_out / "measurements.json"),
-         "--anchors", str(workdir["anchors"]),
-         "--state", str(workdir["truth"]),
-         "--out", str(est_out)]
-    )
+def test_estimate_from_measurements(estimated):
+    res, est_out = estimated
     assert res.exit_code == 0, res.output
     for name in ("state_estimate.json", "report.json", "residuals.csv",
                  "error_stats.json", "histogram.csv"):
@@ -66,26 +91,25 @@ def test_estimate_from_measurements(workdir):
     assert len(report["repair_log"]) == 5
 
 
-def test_estimate_no_repair_fails_on_one_sided(workdir):
-    synth_out = workdir["root"] / "synth0"
+def test_estimate_no_repair_fails_on_one_sided(workdir, synth0):
     est_out = workdir["root"] / "est_norepair"
     res = run_cli(
         ["estimate", "--network", str(workdir["net"]),
-         "--measurements", str(synth_out / "measurements.json"),
+         "--measurements", str(synth0),
          "--anchors", str(workdir["anchors"]),
          "--no-repair", "--out", str(est_out)]
     )
     assert res.exit_code == 3
 
 
-def test_estimate_requires_anchor_file(workdir):
-    synth_out = workdir["root"] / "synth0"
+def test_estimate_requires_anchor_file(workdir, synth0):
     res = run_cli(
         ["estimate", "--network", str(workdir["net"]),
-         "--measurements", str(synth_out / "measurements.json"),
+         "--measurements", str(synth0),
          "--out", str(workdir["root"] / "noanchor")]
     )
     assert res.exit_code == 2
+    assert "monolithic estimation requires --anchors" in res.output
 
 
 def test_estimate_input_mode_validation(workdir):
@@ -117,24 +141,25 @@ def test_estimate_non_finite_reading_exits_2(workdir):
     assert "non-finite reading" in res.output
 
 
-def test_invalid_network_exits_2(workdir):
+def test_invalid_network_exits_2(workdir, synth0):
     bad = workdir["root"] / "bad_net.json"
     doc = netgen.chain_doc(3)
     doc["mystery"] = 1
     bad.write_text(json.dumps(doc))
     res = run_cli(
         ["observability", "--network", str(bad),
-         "--measurements", str(workdir["root"] / "synth0" / "measurements.json"),
+         "--measurements", str(synth0),
          "--out", str(workdir["root"] / "obs_bad")]
     )
     assert res.exit_code == 2
+    assert "unknown keys ['mystery'] in network document" in res.output
 
 
-def test_observability_command(workdir):
+def test_observability_command(workdir, synth0):
     out = workdir["root"] / "obs"
     res = run_cli(
         ["observability", "--network", str(workdir["net"]),
-         "--measurements", str(workdir["root"] / "synth0" / "measurements.json"),
+         "--measurements", str(synth0),
          "--out", str(out)]
     )
     assert res.exit_code == 0
@@ -143,31 +168,27 @@ def test_observability_command(workdir):
     assert rep["verdict"] == "repairable"
 
 
-def test_partition_command(workdir):
-    out = workdir["root"] / "part"
-    res = run_cli(
-        ["partition", "--network", str(workdir["net"]),
-         "--auto-partition-size", "3", "--out", str(out)]
-    )
+def test_partition_command(workdir, partitioned):
+    res, plan_file = partitioned
     assert res.exit_code == 0
-    plan = json.loads((out / "plan.json").read_text())
+    plan = json.loads(plan_file.read_text())
     assert len(plan["sub_networks"]) == 2
     assert "proposed anchor" in res.output
     res2 = run_cli(["partition", "--network", str(workdir["net"]),
-                    "--out", str(out)])
+                    "--out", str(plan_file.parent)])
     assert res2.exit_code == 2  # neither mode selected
 
 
-def test_estimate_with_plan_and_per_sub_anchors(workdir):
+def test_estimate_with_plan_and_per_sub_anchors(workdir, partitioned):
     model = workdir["model"]
     import numpy as np
 
     from sdpse.measurements import load_state
 
     V = load_state(str(workdir["truth"]), model)
-    plan_out = workdir["root"] / "part"
+    _, plan_file = partitioned
     anchors = []
-    plan = json.loads((plan_out / "plan.json").read_text())
+    plan = json.loads(plan_file.read_text())
     for sub in plan["sub_networks"]:
         bus = sub[0]
         node = model.node_of(bus, "A")
@@ -189,7 +210,7 @@ def test_estimate_with_plan_and_per_sub_anchors(workdir):
     res = run_cli(
         ["estimate", "--network", str(workdir["net"]),
          "--measurements", str(synth_plan / "measurements.json"),
-         "--plan", str(plan_out / "plan.json"),
+         "--plan", str(plan_file),
          "--anchors", str(anchor_file),
          "--state", str(workdir["truth"]),
          "--out", str(out)]
@@ -201,8 +222,8 @@ def test_estimate_with_plan_and_per_sub_anchors(workdir):
     assert stats["voltage_magnitude_pu"]["maximum"] < 1e-4
 
 
-def test_stats_command(workdir):
-    est_out = workdir["root"] / "est"
+def test_stats_command(workdir, estimated):
+    _, est_out = estimated
     out = workdir["root"] / "stats"
     res = run_cli(
         ["stats", "--network", str(workdir["net"]),

@@ -8,12 +8,13 @@ from sdpse.measurements import (
     NoiseSpec,
     default_plan,
     full_plan,
+    repair_observability,
     state_to_X,
     synthesize,
 )
 from sdpse.problem import assemble_problem, compute_residuals, extract_state
 from sdpse.sdpmat import build_matrix_set
-from sdpse.solver import SolverConfig, solve
+from sdpse.solver import SolverConfig, _Terms, solve
 
 
 def solve_chain(n=6, seed=0, plan_kind="full", config=None):
@@ -164,3 +165,52 @@ def test_vmag_sigma_transform():
     prob = assemble_problem(mats, meas, anchors=[0])
     assert prob.z[0] == pytest.approx(1.05**2)
     assert prob.sigma[0] == pytest.approx(2 * 1.05 * 0.01)
+
+
+def reduced_dense(problem, keep, i):
+    """Dense A_i of measurement i on the anchor-reduced index set."""
+    _, p, q, c = problem.matrix_set.terms(problem.rows[[i]])
+    D = np.zeros((problem.dim, problem.dim))
+    D[p, q] = c
+    return D[np.ix_(keep, keep)]
+
+
+def gram_case(model, plan_kind, repair):
+    mats = build_matrix_set(model)
+    V = netgen.random_state(model, seed=2)
+    plan = full_plan(model, mats) if plan_kind == "full" else default_plan(model, mats)
+    meas = synthesize(model, mats, state_to_X(V), plan, NoiseSpec(level=0, seed=0))
+    if repair:
+        meas, _ = repair_observability(model, mats, meas, "negate")
+    prob = assemble_problem(mats, meas, anchors=[0])
+    keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
+    terms = _Terms(prob, keep)
+    rng = np.random.default_rng(3)
+    B = rng.normal(size=(terms.d, terms.d))
+    W = B @ B.T / terms.d + np.eye(terms.d)
+    return prob, keep, terms, W
+
+
+def test_gram_dense_stack_matches_reference():
+    model = netgen.model_from(netgen.chain_doc(6, seed=4))
+    prob, keep, terms, W = gram_case(model, "full", repair=False)
+    assert terms.m * terms.d * terms.d <= 40_000_000  # dense-stack branch
+    G = terms.gram(W)
+    AW = [reduced_dense(prob, keep, i) @ W for i in range(terms.m)]
+    ref = np.array([[np.sum(a * b.T) for b in AW] for a in AW])
+    np.testing.assert_allclose(G, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+
+
+def test_gram_term_pair_fallback_matches_reference():
+    model = netgen.model_from(netgen.tree_doc(200, seed=9))
+    prob, keep, terms, W = gram_case(model, "one_sided", repair=True)
+    assert terms.m * terms.d * terms.d > 40_000_000  # term-pair fallback
+    G = terms.gram(W)
+    rng = np.random.default_rng(4)
+    ids = rng.choice(terms.m, size=24, replace=False)
+    AW = {i: reduced_dense(prob, keep, i) @ W for i in ids}
+    scale = max(abs(np.sum(a * a.T)) for a in AW.values())
+    for i in ids:
+        for j in ids[:6]:
+            ref = np.sum(AW[i] * AW[j].T)
+            assert G[i, j] == pytest.approx(ref, rel=1e-10, abs=1e-12 * scale)
