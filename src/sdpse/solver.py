@@ -10,6 +10,15 @@ matrix-inversion-lemma reformulation that only needs an m x m factorization
 (m = number of measurements) plus products against the sparse coefficient
 terms, never a dense Hessian over matrix space.
 
+That m x m system is the Gram matrix G[i, j] = Tr(A_i W A_j W).  It is built
+from a support-row table: one sparse row per measurement i and index a whose
+row of A_i is nonzero (ns rows in all), so one product Q = M W gives every
+nonzero row of every A_i W.  When m d^2 <= ns^2 (d the reduced dimension) Q
+is scattered into the flattened stacks of A_i W and (A_i W)^T and G is their
+dense product; otherwise G sums the ns x ns Hadamard product K o K^T, with
+K = Q restricted to the support indices, over the owners of its rows.  Both
+are exact; the rule only picks the smaller amount of work.
+
 A rank-one Gauss-Newton refinement runs afterwards: the leading eigenvector
 of the barrier solution seeds a Levenberg-Marquardt descent on the unlifted
 state, which tightens consistent problems down to machine precision.  The
@@ -62,7 +71,25 @@ class SolveReport:
 
 class _Terms:
     """Flattened sparse terms of all coefficient matrices on the reduced
-    (anchor-eliminated) index set."""
+    (anchor-eliminated) index set.
+
+    The Gram matrix ``G[i, j] = Tr(A_i W A_j W)`` is built from a support-row
+    table: one row r = (i, a) per measurement i and index a whose row of A_i
+    is nonzero, with ``M[r] = A_i[a]`` (sparse, ns x d), owner ``own[r] = i``
+    and index ``sup[r] = a``.  ``Q = M @ W`` then holds every nonzero row of
+    every ``A_i W``, and with ``Q[r, b] = (A_i W)[a, b]``
+
+        G[i, j] = sum over r = (i, a), t = (j, b) of Q[r, b] * Q[t, a].
+
+    Two exact ways finish the sum; the one with less work is fixed per solve:
+
+    * dense side, when m d^2 <= ns^2: scatter Q into the flattened stacks
+      F[i] = A_i W and Ft[i] = (A_i W)^T (m x d^2 buffers whose nonzero
+      positions never change, so they are allocated once and never
+      re-zeroed) and take ``G = F @ Ft^T``;
+    * support-row side, otherwise: ``K = Q[:, sup]`` (ns x ns) and
+      ``G = Sel (K o K^T) Sel^T``, Sel the m x ns owner selector.
+    """
 
     def __init__(self, problem: SdpProblem, keep: np.ndarray):
         pos = -np.ones(problem.dim, dtype=np.intp)
@@ -71,8 +98,8 @@ class _Terms:
         p = pos[p]
         q = pos[q]
         ok = (p >= 0) & (q >= 0)
-        self.m = problem.n_measurements
-        self.d = len(keep)
+        self.m = m = problem.n_measurements
+        self.d = d = len(keep)
         self.row = row[ok]
         self.p = p[ok]
         self.q = q[ok]
@@ -83,6 +110,22 @@ class _Terms:
             (self.c, (self.row, np.arange(self.n_terms))),
             shape=(self.m, self.n_terms),
         )
+        # Support-row table.  Terms are sorted by (row, p, q), so each
+        # (row, p) pair is one contiguous run, already in CSR order.
+        starts = np.flatnonzero(np.diff(self.row * d + self.p, prepend=-1))
+        ns = len(starts)
+        self.own = self.row[starts]
+        self.sup = self.p[starts]
+        indptr = np.append(starts, self.n_terms)
+        self.M = sp.csr_matrix((self.c, self.q, indptr), shape=(ns, d))
+        if m * d * d <= ns * ns:
+            self._F = np.zeros((m, d, d))
+            self._Ft = np.zeros((m, d, d))
+        else:
+            self._F = None
+            self.Sel = sp.csr_matrix(
+                (np.ones(ns), (self.own, np.arange(ns))), shape=(m, ns)
+            )
 
     def values(self, W: np.ndarray) -> np.ndarray:
         """Tr(A_i W) for all i."""
@@ -94,26 +137,17 @@ class _Terms:
         np.add.at(out, (self.p, self.q), weights[self.row] * self.c)
         return out
 
-    def gram(self, W: np.ndarray, block: int = 1024) -> np.ndarray:
+    def gram(self, W: np.ndarray) -> np.ndarray:
         """G[i, j] = Tr(A_i W A_j W)."""
-        if self.m * self.d * self.d <= 40_000_000:
-            # Stack P_i = A_i W densely; then G = <P_i, P_j^T> is one BLAS
-            # product over the flattened stacks.
-            P = np.zeros((self.m, self.d, self.d))
-            np.add.at(P, (self.row, self.p), self.c[:, None] * W[self.q])
-            F = P.reshape(self.m, -1)
-            Ft = P.transpose(0, 2, 1).reshape(self.m, -1)
+        Q = self.M @ W
+        if self._F is not None:
+            self._F[self.own, self.sup] = Q
+            self._Ft[self.own, :, self.sup] = Q
+            F = self._F.reshape(self.m, -1)
+            Ft = self._Ft.reshape(self.m, -1)
             return F @ Ft.T
-        # Term-pair fallback with bounded memory for very large instances.
-        Wp = W[self.p]
-        Wq = W[self.q]
-        G = np.zeros((self.m, self.m))
-        St = self.S.T.tocsc()
-        for lo in range(0, self.n_terms, block):
-            hi = min(lo + block, self.n_terms)
-            mt = Wp[lo:hi][:, self.p] * Wq[lo:hi][:, self.q]
-            G += self.S[:, lo:hi] @ (mt @ St)
-        return G
+        K = Q[:, self.sup]
+        return self.Sel @ (self.Sel @ (K * K.T)).T
 
     def quad_values(self, X: np.ndarray) -> np.ndarray:
         """X^T A_i X for all i."""
@@ -122,7 +156,7 @@ class _Terms:
     def jac_rows(self, X: np.ndarray) -> np.ndarray:
         """Rows A_i X stacked into an m x d matrix."""
         out = np.zeros((self.m, self.d))
-        np.add.at(out, (self.row, self.p), self.c * X[self.q])
+        out[self.own, self.sup] = self.M @ X
         return out
 
 
@@ -206,7 +240,8 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
             T = W @ Rm @ W
             u = terms.values(T)
             G = terms.gram(W)
-            s = _solve_spd(mu * np.diag(sigma2_half) + G, u)
+            G[np.diag_indices_from(G)] += mu * sigma2_half
+            s = _solve_spd(G, u)
             if s is None:
                 status = "numerical_failure"
                 break

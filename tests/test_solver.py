@@ -184,33 +184,42 @@ def gram_case(model, plan_kind, repair):
         meas, _ = repair_observability(model, mats, meas, "negate")
     prob = assemble_problem(mats, meas, anchors=[0])
     keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
-    terms = _Terms(prob, keep)
-    rng = np.random.default_rng(3)
-    B = rng.normal(size=(terms.d, terms.d))
-    W = B @ B.T / terms.d + np.eye(terms.d)
-    return prob, keep, terms, W
+    return prob, keep, _Terms(prob, keep)
 
 
-def test_gram_dense_stack_matches_reference():
-    model = netgen.model_from(netgen.chain_doc(6, seed=4))
-    prob, keep, terms, W = gram_case(model, "full", repair=False)
-    assert terms.m * terms.d * terms.d <= 40_000_000  # dense-stack branch
-    G = terms.gram(W)
-    AW = [reduced_dense(prob, keep, i) @ W for i in range(terms.m)]
-    ref = np.array([[np.sum(a * b.T) for b in AW] for a in AW])
-    np.testing.assert_allclose(G, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
-
-
-def test_gram_term_pair_fallback_matches_reference():
-    model = netgen.model_from(netgen.tree_doc(200, seed=9))
-    prob, keep, terms, W = gram_case(model, "one_sided", repair=True)
-    assert terms.m * terms.d * terms.d > 40_000_000  # term-pair fallback
-    G = terms.gram(W)
+@pytest.mark.parametrize(
+    "doc, plan_kind, repair, dense_side, max_support",
+    [
+        (lambda: netgen.chain_doc(6, seed=4), "full", False, True, 6),
+        (lambda: netgen.tree_doc(200, seed=9), "one_sided", True, False, 13),
+        (netgen.multiphase_feeder_doc, "full", False, True, 24),
+        (netgen.multiphase_feeder_doc, "one_sided", True, False, 8),
+    ],
+    ids=["chain6-full", "tree200-one-sided", "multiphase-full", "multiphase-one-sided"],
+)
+def test_gram_matches_reference(doc, plan_kind, repair, dense_side, max_support):
+    model = netgen.model_from(doc())
+    prob, keep, terms = gram_case(model, plan_kind, repair)
+    m, d = terms.m, terms.d
+    # Support rows: the (measurement, index) pairs whose row of A_i is nonzero.
+    pairs = {(int(i), int(a)) for i, a in zip(terms.row, terms.p)}
+    ns = len(pairs)
+    assert (m * d * d <= ns * ns) == dense_side
+    assert (terms._F is not None) == dense_side
+    assert max(np.bincount([i for i, _ in pairs])) == max_support
     rng = np.random.default_rng(4)
-    ids = rng.choice(terms.m, size=24, replace=False)
-    AW = {i: reduced_dense(prob, keep, i) @ W for i in ids}
-    scale = max(abs(np.sum(a * a.T)) for a in AW.values())
-    for i in ids:
-        for j in ids[:6]:
-            ref = np.sum(AW[i] * AW[j].T)
-            assert G[i, j] == pytest.approx(ref, rel=1e-10, abs=1e-12 * scale)
+    # Every entry where the dense reference fits in memory, else a sample.
+    ids = np.arange(m) if m * d * d < 50_000_000 else rng.choice(m, 48, replace=False)
+    A = np.array([reduced_dense(prob, keep, i) for i in ids])
+    # Two different W in a row: entries left over from the first call must
+    # not leak into the second.
+    for seed in (3, 5):
+        B = np.random.default_rng(seed).normal(size=(d, d))
+        W = B @ B.T / d + np.eye(d)
+        G = terms.gram(W)
+        assert G.shape == (m, m)
+        AW = A @ W
+        ref = np.tensordot(AW, AW, axes=([1, 2], [2, 1]))
+        np.testing.assert_allclose(
+            G[np.ix_(ids, ids)], ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max()
+        )
