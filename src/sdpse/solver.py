@@ -19,6 +19,14 @@ dense product; otherwise G sums the ns x ns Hadamard product K o K^T, with
 K = Q restricted to the support indices, over the owners of its rows.  Both
 are exact; the rule only picks the smaller amount of work.
 
+Each barrier iteration is a handful of library calls, so their number sets
+the cost on small sub-networks.  One Cholesky factor per accepted iterate
+serves the logdet, the line search and the next iteration: the line search
+factors each trial point, and the accepted one's logdet is carried into the
+next iteration instead of factoring W again.  The term products are
+``np.bincount`` sums over the row-sorted term table, and the Schur solve
+calls LAPACK's ``dpotrf``/``dpotrs`` directly, reading ``info``.
+
 A rank-one Gauss-Newton refinement runs afterwards: the leading eigenvector
 of the barrier solution seeds a Levenberg-Marquardt descent on the unlifted
 state, which tightens consistent problems down to machine precision.  The
@@ -32,8 +40,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ValidationError
 
@@ -105,11 +113,10 @@ class _Terms:
         self.q = q[ok]
         self.c = c[ok]
         self.n_terms = len(self.c)
-        # m x n_terms selector carrying the coefficients.
-        self.S = sp.csr_matrix(
-            (self.c, (self.row, np.arange(self.n_terms))),
-            shape=(self.m, self.n_terms),
-        )
+        # Flat position of each term in a d x d matrix.  The terms are sorted
+        # by row, so the bincount sums below run in the order of a CSR
+        # mat-vec.
+        self.pq = self.p * d + self.q
         # Support-row table.  Terms are sorted by (row, p, q), so each
         # (row, p) pair is one contiguous run, already in CSR order.
         starts = np.flatnonzero(np.diff(self.row * d + self.p, prepend=-1))
@@ -129,13 +136,13 @@ class _Terms:
 
     def values(self, W: np.ndarray) -> np.ndarray:
         """Tr(A_i W) for all i."""
-        return self.S @ W[self.p, self.q]
+        return np.bincount(self.row, self.c * W.take(self.pq), minlength=self.m)
 
     def accumulate(self, weights: np.ndarray) -> np.ndarray:
         """Dense sum_i weights_i A_i."""
-        out = np.zeros((self.d, self.d))
-        np.add.at(out, (self.p, self.q), weights[self.row] * self.c)
-        return out
+        d = self.d
+        out = np.bincount(self.pq, weights[self.row] * self.c, minlength=d * d)
+        return out.reshape(d, d)
 
     def gram(self, W: np.ndarray) -> np.ndarray:
         """G[i, j] = Tr(A_i W A_j W)."""
@@ -151,7 +158,9 @@ class _Terms:
 
     def quad_values(self, X: np.ndarray) -> np.ndarray:
         """X^T A_i X for all i."""
-        return self.S @ (X[self.p] * X[self.q])
+        return np.bincount(
+            self.row, self.c * (X[self.p] * X[self.q]), minlength=self.m
+        )
 
     def jac_rows(self, X: np.ndarray) -> np.ndarray:
         """Rows A_i X stacked into an m x d matrix."""
@@ -160,26 +169,49 @@ class _Terms:
         return out
 
 
+def _chol(M: np.ndarray) -> Optional[np.ndarray]:
+    """Cholesky factor of M in the lower triangle (the upper one keeps M's
+    entries), or None when M is not numerically positive definite.
+
+    OpenBLAS's ``dpotrf`` tests a pivot only for ``<= 0``, so a NaN in the
+    lower triangle passes with ``info == 0``; it always reaches the factor's
+    diagonal, which is checked instead."""
+    L, info = dpotrf(M, lower=1, clean=0)
+    if info != 0 or not np.isfinite(L.diagonal()).all():
+        return None
+    return L
+
+
 def _chol_logdet(W: np.ndarray) -> Optional[float]:
+    """logdet(W) from its Cholesky factor, or None when W is not numerically
+    positive definite or not finite.
+
+    This is numpy's factorization, not ``_chol``: numpy and scipy each ship
+    their own OpenBLAS build, and their factors of the same W can differ in
+    the last bit.  The line search compares these logdets, so switching
+    libraries would move the iteration path."""
     try:
         L = np.linalg.cholesky(W)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    return logdet if np.isfinite(logdet) else None
 
 
 def _solve_spd(M: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """SPD solve with escalating diagonal regularization on failure."""
+    """SPD solve with escalating diagonal regularization on failure.
+
+    In the barrier this factors the m x m Schur matrix, once per iteration.
+    W itself is factored once per accepted iterate: the line search's factor
+    of the accepted point gives the logdet that the next iteration starts
+    from."""
     jitter = 0.0
     base = 1e-14 * max(np.trace(M) / max(len(M), 1), 1.0)
     for _ in range(8):
-        try:
-            cf = sla.cho_factor(
-                M + jitter * np.eye(len(M)) if jitter else M, lower=True
-            )
-            return sla.cho_solve(cf, b)
-        except np.linalg.LinAlgError:
-            jitter = base if jitter == 0.0 else jitter * 100.0
+        L = _chol(M + jitter * np.eye(len(M)) if jitter else M)
+        if L is not None:
+            return dpotrs(L, b, lower=1)[0]
+        jitter = base if jitter == 0.0 else jitter * 100.0
     return None
 
 
@@ -221,6 +253,8 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
     iterations = 0
     status = "converged"
     sigma2_half = problem.sigma * problem.sigma / 2.0
+    # logdet of the current W; the line search hands over the accepted one.
+    logdet = _chol_logdet(W)
 
     while True:
         # Center at the current mu.
@@ -228,7 +262,6 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
             if iterations >= config.max_iterations:
                 status = "max_iter"
                 break
-            logdet = _chol_logdet(W)
             if logdet is None:
                 status = "numerical_failure"
                 break
@@ -240,7 +273,7 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
             T = W @ Rm @ W
             u = terms.values(T)
             G = terms.gram(W)
-            G[np.diag_indices_from(G)] += mu * sigma2_half
+            G.flat[:: terms.m + 1] += mu * sigma2_half
             s = _solve_spd(G, u)
             if s is None:
                 status = "numerical_failure"
@@ -252,7 +285,7 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
             if lam2 <= 0:
                 break
             # Backtracking line search keeping the iterate PSD.
-            f0 = objective(W) - mu * logdet
+            f0 = float(np.dot(w, res * res)) - mu * logdet
             t = 1.0
             accepted = False
             while t > 1e-13:
@@ -262,6 +295,7 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
                     ft = objective(Wt) - mu * ld
                     if ft <= f0 - 0.25 * t * lam2:
                         W = Wt
+                        logdet = ld
                         accepted = True
                         break
                 t *= 0.5

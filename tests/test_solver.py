@@ -14,7 +14,7 @@ from sdpse.measurements import (
 )
 from sdpse.problem import assemble_problem, compute_residuals, extract_state
 from sdpse.sdpmat import build_matrix_set
-from sdpse.solver import SolverConfig, _Terms, solve
+from sdpse.solver import SolverConfig, _chol, _solve_spd, _Terms, solve
 
 
 def solve_chain(n=6, seed=0, plan_kind="full", config=None):
@@ -187,7 +187,20 @@ def gram_case(model, plan_kind, repair):
     return prob, keep, _Terms(prob, keep)
 
 
-@pytest.mark.parametrize(
+def reference_rows(m, d):
+    """Every measurement where the dense m x d x d reference fits in memory,
+    else a fixed sample of 48."""
+    if m * d * d < 50_000_000:
+        return np.arange(m)
+    return np.random.default_rng(4).choice(m, 48, replace=False)
+
+
+def random_pd(d, seed):
+    B = np.random.default_rng(seed).normal(size=(d, d))
+    return B @ B.T / d + np.eye(d)
+
+
+GRAM_CASES = pytest.mark.parametrize(
     "doc, plan_kind, repair, dense_side, max_support",
     [
         (lambda: netgen.chain_doc(6, seed=4), "full", False, True, 6),
@@ -197,6 +210,9 @@ def gram_case(model, plan_kind, repair):
     ],
     ids=["chain6-full", "tree200-one-sided", "multiphase-full", "multiphase-one-sided"],
 )
+
+
+@GRAM_CASES
 def test_gram_matches_reference(doc, plan_kind, repair, dense_side, max_support):
     model = netgen.model_from(doc())
     prob, keep, terms = gram_case(model, plan_kind, repair)
@@ -207,15 +223,12 @@ def test_gram_matches_reference(doc, plan_kind, repair, dense_side, max_support)
     assert (m * d * d <= ns * ns) == dense_side
     assert (terms._F is not None) == dense_side
     assert max(np.bincount([i for i, _ in pairs])) == max_support
-    rng = np.random.default_rng(4)
-    # Every entry where the dense reference fits in memory, else a sample.
-    ids = np.arange(m) if m * d * d < 50_000_000 else rng.choice(m, 48, replace=False)
+    ids = reference_rows(m, d)
     A = np.array([reduced_dense(prob, keep, i) for i in ids])
     # Two different W in a row: entries left over from the first call must
     # not leak into the second.
     for seed in (3, 5):
-        B = np.random.default_rng(seed).normal(size=(d, d))
-        W = B @ B.T / d + np.eye(d)
+        W = random_pd(d, seed)
         G = terms.gram(W)
         assert G.shape == (m, m)
         AW = A @ W
@@ -223,3 +236,93 @@ def test_gram_matches_reference(doc, plan_kind, repair, dense_side, max_support)
         np.testing.assert_allclose(
             G[np.ix_(ids, ids)], ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max()
         )
+
+
+@GRAM_CASES
+def test_term_table_matches_reference(doc, plan_kind, repair, dense_side, max_support):
+    model = netgen.model_from(doc())
+    prob, keep, terms = gram_case(model, plan_kind, repair)
+    m, d = terms.m, terms.d
+    ids = reference_rows(m, d)
+    A = np.array([reduced_dense(prob, keep, i) for i in ids])
+    rng = np.random.default_rng(6)
+    W = random_pd(d, 7)
+    x = rng.normal(size=d)
+    weights = rng.normal(size=m)
+
+    def close(actual, ref):
+        np.testing.assert_allclose(
+            actual, ref, rtol=1e-12, atol=1e-12 * max(np.abs(ref).max(), 1.0)
+        )
+
+    values = terms.values(W)
+    assert values.shape == (m,)
+    close(values[ids], np.einsum("kab,ba->k", A, W))
+    quad = terms.quad_values(x)
+    assert quad.shape == (m,)
+    close(quad[ids], np.einsum("a,kab,b->k", x, A, x))
+    jac = terms.jac_rows(x)
+    assert jac.shape == (m, d)
+    close(jac[ids], A @ x)
+    # sum_i w_i A_i over every measurement, one dense A_i at a time.
+    ref = np.zeros((d, d))
+    for i in range(m):
+        ref += weights[i] * reduced_dense(prob, keep, i)
+    acc = terms.accumulate(weights)
+    assert acc.shape == (d, d)
+    close(acc, ref)
+
+
+def test_solve_spd_matches_dense_solve():
+    rng = np.random.default_rng(8)
+    M = random_pd(7, 9)
+    b = rng.normal(size=7)
+    np.testing.assert_allclose(_solve_spd(M, b), np.linalg.solve(M, b), rtol=1e-12)
+
+
+def test_solve_spd_regularizes_rank_deficient():
+    # Exactly rank one: the first pivot's Schur complement is exactly zero,
+    # so only the jittered factorization succeeds.
+    v = np.array([1.0, 2.0, 3.0])
+    M = np.outer(v, v)
+    assert _chol(M) is None
+    b = M @ np.array([0.5, -1.0, 2.0])
+    x = _solve_spd(M, b)
+    assert x is not None
+    assert np.all(np.isfinite(x))
+    np.testing.assert_allclose(M @ x, b, atol=1e-6)
+
+
+def test_indefinite_matrix_has_no_factor():
+    M = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.2], [0.0, 0.2, 3.0]])
+    assert _chol(M) is None
+    assert _solve_spd(M, np.ones(3)) is None
+
+
+@pytest.mark.parametrize("where", [(1, 1), (2, 0)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_matrix_has_no_factor(where):
+    M = random_pd(4, 10)
+    M[where] = M[where[::-1]] = np.nan
+    assert _chol(M) is None
+    assert _solve_spd(M, np.ones(4)) is None
+
+
+def test_non_pd_initial_w_falls_back_to_identity():
+    model, mats, V, prob, _ = solve_chain(n=4, seed=6)
+    dim = prob.dim
+    indefinite = np.diag(np.linspace(-1.0, 1.0, dim))
+    with_nan = np.eye(dim)
+    with_nan[1, 1] = np.nan
+    reports = [
+        solve(prob, SolverConfig(initial_W=W0))
+        for W0 in (-np.eye(dim), indefinite, with_nan)
+    ]
+    # All three start from the identity, so they take the same path.
+    for report in reports:
+        assert report.status == "converged"
+        assert report.iterations == reports[0].iterations
+        np.testing.assert_array_equal(report.W, reports[0].W)
+    X, _ = extract_state(reports[0].W, prob.anchors)
+    n = model.n_nodes
+    V_est = X[:n] + 1j * X[n:]
+    assert np.max(np.abs(np.abs(V_est) - np.abs(V))) < 1e-6
