@@ -12,20 +12,22 @@ terms, never a dense Hessian over matrix space.
 
 That m x m system is the Gram matrix G[i, j] = Tr(A_i W A_j W).  It is built
 from a support-row table: one sparse row per measurement i and index a whose
-row of A_i is nonzero (ns rows in all), so one product Q = M W gives every
-nonzero row of every A_i W.  When m d^2 <= ns^2 (d the reduced dimension) Q
-is scattered into the flattened stacks of A_i W and (A_i W)^T and G is their
-dense product; otherwise G sums the ns x ns Hadamard product K o K^T, with
-K = Q restricted to the support indices, over the owners of its rows.  Both
-are exact; the rule only picks the smaller amount of work.
+row of A_i is nonzero (ns rows in all), so one product with the table gives
+every nonzero row of every A_i W or A_i L.  When m d^2 <= ns^2 (d the reduced
+dimension) G is the Gram matrix of the symmetric d x d matrices L^T A_i L,
+W = L L^T, each packed to its upper triangle; otherwise G sums the ns x ns
+Hadamard product K o K^T, with K = (M W) restricted to the support indices,
+over the owners of its rows.  Both are exact; the rule only picks the
+smaller amount of work.
 
 Each barrier iteration is a handful of library calls, so their number sets
-the cost on small sub-networks.  One Cholesky factor per accepted iterate
-serves the logdet, the line search and the next iteration: the line search
-factors each trial point, and the accepted one's logdet is carried into the
-next iteration instead of factoring W again.  The term products are
-``np.bincount`` sums over the row-sorted term table, and the Schur solve
-calls LAPACK's ``dpotrf``/``dpotrs`` directly, reading ``info``.
+the cost on small sub-networks.  One LAPACK Cholesky factor L per accepted
+iterate serves every use of W inside the iteration: its logdet, W^-1 (from
+``dpotri``) and the dense-side Gram.  The line search factors each trial
+point, and the accepted one's factor is carried into the next iteration
+instead of factoring W again.  The term products are ``np.bincount`` sums
+over the row-sorted term table, and the Schur solve calls LAPACK's
+``dpotrf``/``dpotrs`` directly, reading ``info``.
 
 A rank-one Gauss-Newton refinement runs afterwards: the leading eigenvector
 of the barrier solution seeds a Levenberg-Marquardt descent on the unlifted
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import ValidationError
 
@@ -84,18 +86,23 @@ class _Terms:
     The Gram matrix ``G[i, j] = Tr(A_i W A_j W)`` is built from a support-row
     table: one row r = (i, a) per measurement i and index a whose row of A_i
     is nonzero, with ``M[r] = A_i[a]`` (sparse, ns x d), owner ``own[r] = i``
-    and index ``sup[r] = a``.  ``Q = M @ W`` then holds every nonzero row of
-    every ``A_i W``, and with ``Q[r, b] = (A_i W)[a, b]``
+    and index ``sup[r] = a``.  ``M @ X`` then holds every nonzero row of
+    every ``A_i X``.  Two exact ways finish the sum; the one with less work is
+    fixed per solve:
 
-        G[i, j] = sum over r = (i, a), t = (j, b) of Q[r, b] * Q[t, a].
+    * dense side, when m d^2 <= ns^2: with W = L L^T,
+      ``G[i, j] = <L^T A_i L, L^T A_j L>``.  ``Q = M @ L`` is scattered into
+      a (d, m, d) buffer F with ``F[a, i] = (A_i L)[a]`` (its nonzero
+      positions never change, so it is allocated once and never re-zeroed),
+      one product ``L^T @ F`` gives every ``L^T A_i L``, and their upper
+      triangles, off-diagonal entries weighted by sqrt(2), are packed into
+      the columns of P, so that ``G = P^T P`` (exactly symmetric);
+    * support-row side, otherwise: with ``Q = M @ W`` and
+      ``Q[r, b] = (A_i W)[a, b]``,
 
-    Two exact ways finish the sum; the one with less work is fixed per solve:
+          G[i, j] = sum over r = (i, a), t = (j, b) of Q[r, b] * Q[t, a],
 
-    * dense side, when m d^2 <= ns^2: scatter Q into the flattened stacks
-      F[i] = A_i W and Ft[i] = (A_i W)^T (m x d^2 buffers whose nonzero
-      positions never change, so they are allocated once and never
-      re-zeroed) and take ``G = F @ Ft^T``;
-    * support-row side, otherwise: ``K = Q[:, sup]`` (ns x ns) and
+      taken as ``K = Q[:, sup]`` (ns x ns) and
       ``G = Sel (K o K^T) Sel^T``, Sel the m x ns owner selector.
     """
 
@@ -126,8 +133,9 @@ class _Terms:
         indptr = np.append(starts, self.n_terms)
         self.M = sp.csr_matrix((self.c, self.q, indptr), shape=(ns, d))
         if m * d * d <= ns * ns:
-            self._F = np.zeros((m, d, d))
-            self._Ft = np.zeros((m, d, d))
+            self._F = np.zeros((d, m, d))
+            self._iu, self._ju = np.triu_indices(d)
+            self._pack_w = np.where(self._iu == self._ju, 1.0, np.sqrt(2.0))[:, None]
         else:
             self._F = None
             self.Sel = sp.csr_matrix(
@@ -144,16 +152,17 @@ class _Terms:
         out = np.bincount(self.pq, weights[self.row] * self.c, minlength=d * d)
         return out.reshape(d, d)
 
-    def gram(self, W: np.ndarray) -> np.ndarray:
-        """G[i, j] = Tr(A_i W A_j W)."""
-        Q = self.M @ W
+    def gram(self, W: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """G[i, j] = Tr(A_i W A_j W), given W and its lower Cholesky factor L
+        (upper triangle zero)."""
         if self._F is not None:
-            self._F[self.own, self.sup] = Q
-            self._Ft[self.own, :, self.sup] = Q
-            F = self._F.reshape(self.m, -1)
-            Ft = self._Ft.reshape(self.m, -1)
-            return F @ Ft.T
-        K = Q[:, self.sup]
+            m, d = self.m, self.d
+            self._F[self.sup, self.own] = self.M @ L
+            B = (L.T @ self._F.reshape(d, m * d)).reshape(d, m, d)
+            P = B[self._iu, :, self._ju]
+            P *= self._pack_w
+            return P.T @ P
+        K = (self.M @ W)[:, self.sup]
         return self.Sel @ (self.Sel @ (K * K.T)).T
 
     def quad_values(self, X: np.ndarray) -> np.ndarray:
@@ -169,50 +178,51 @@ class _Terms:
         return out
 
 
-def _chol(M: np.ndarray) -> Optional[np.ndarray]:
-    """Cholesky factor of M in the lower triangle (the upper one keeps M's
-    entries), or None when M is not numerically positive definite.
+def _chol(M: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
+    """Lower Cholesky factor L of M, its upper triangle zero, and logdet(M);
+    None when M is not numerically positive definite or not finite.
 
-    OpenBLAS's ``dpotrf`` tests a pivot only for ``<= 0``, so a NaN in the
-    lower triangle passes with ``info == 0``; it always reaches the factor's
-    diagonal, which is checked instead."""
-    L, info = dpotrf(M, lower=1, clean=0)
-    if info != 0 or not np.isfinite(L.diagonal()).all():
+    This is LAPACK's ``dpotrf``; OpenBLAS's build tests a pivot only for
+    ``<= 0``, so a NaN in the lower triangle passes with ``info == 0``.  It
+    always reaches the factor's diagonal, and so the logdet, which is
+    checked instead."""
+    L, info = dpotrf(M, lower=1, clean=1)
+    if info != 0:
         return None
-    return L
+    logdet = 2.0 * float(np.sum(np.log(L.diagonal())))
+    return (L, logdet) if np.isfinite(logdet) else None
 
 
-def _chol_logdet(W: np.ndarray) -> Optional[float]:
-    """logdet(W) from its Cholesky factor, or None when W is not numerically
-    positive definite or not finite.
-
-    This is numpy's factorization, not ``_chol``: numpy and scipy each ship
-    their own OpenBLAS build, and their factors of the same W can differ in
-    the last bit.  The line search compares these logdets, so switching
-    libraries would move the iteration path."""
-    try:
-        L = np.linalg.cholesky(W)
-    except np.linalg.LinAlgError:
-        return None
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return logdet if np.isfinite(logdet) else None
+def _inv_from_factor(L: np.ndarray) -> np.ndarray:
+    """M^-1 from the factor ``_chol`` returns, exactly symmetric.  ``dpotri``
+    writes the lower triangle and leaves the (zero) upper one alone."""
+    inv = dpotri(L, lower=1)[0]
+    inv += np.tril(inv, -1).T
+    return inv
 
 
 def _solve_spd(M: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """SPD solve with escalating diagonal regularization on failure.
 
     In the barrier this factors the m x m Schur matrix, once per iteration.
-    W itself is factored once per accepted iterate: the line search's factor
-    of the accepted point gives the logdet that the next iteration starts
-    from."""
-    jitter = 0.0
-    base = 1e-14 * max(np.trace(M) / max(len(M), 1), 1.0)
-    for _ in range(8):
-        L = _chol(M + jitter * np.eye(len(M)) if jitter else M)
-        if L is not None:
-            return dpotrs(L, b, lower=1)[0]
-        jitter = base if jitter == 0.0 else jitter * 100.0
-    return None
+    When M has no factor, up to seven retries add a jitter growing from
+    1e-14 of M's mean diagonal (at least 1e-14) by 100x each to a copy's
+    diagonal."""
+    fac = _chol(M)
+    if fac is None:
+        n = len(M)
+        jitter = 1e-14 * max(np.trace(M) / max(n, 1), 1.0)
+        Mj = M.copy()
+        diag = M.diagonal()
+        for _ in range(7):
+            Mj.flat[:: n + 1] = diag + jitter
+            fac = _chol(Mj)
+            if fac is not None:
+                break
+            jitter *= 100.0
+        else:
+            return None
+    return dpotrs(fac[0], b, lower=1)[0]
 
 
 def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -233,7 +243,7 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
 
     if isinstance(config.initial_W, np.ndarray):
         W = np.array(config.initial_W[np.ix_(keep, keep)], dtype=float)
-        if _chol_logdet(W + 1e-12 * np.eye(d)) is None:
+        if _chol(W + 1e-12 * np.eye(d)) is None:
             W = np.eye(d)
         else:
             W = W + 1e-8 * np.eye(d)
@@ -253,8 +263,9 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
     iterations = 0
     status = "converged"
     sigma2_half = problem.sigma * problem.sigma / 2.0
-    # logdet of the current W; the line search hands over the accepted one.
-    logdet = _chol_logdet(W)
+    # Factor and logdet of the current W; the line search hands over the
+    # accepted trial point's.
+    fac = _chol(W)
 
     while True:
         # Center at the current mu.
@@ -262,17 +273,18 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
             if iterations >= config.max_iterations:
                 status = "max_iter"
                 break
-            if logdet is None:
+            if fac is None:
                 status = "numerical_failure"
                 break
-            Winv = np.linalg.inv(W)
-            Winv = (Winv + Winv.T) / 2.0
+            L, logdet = fac
+            Winv = _inv_from_factor(L)
             res = z - terms.values(W)
+            # Exactly symmetric: so is every A_i in the term table, and so is
+            # the W^-1 that dpotri gives.
             Rm = 2.0 * terms.accumulate(w * res) + mu * Winv
-            Rm = (Rm + Rm.T) / 2.0
             T = W @ Rm @ W
             u = terms.values(T)
-            G = terms.gram(W)
+            G = terms.gram(W, L)
             G.flat[:: terms.m + 1] += mu * sigma2_half
             s = _solve_spd(G, u)
             if s is None:
@@ -290,12 +302,12 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
             accepted = False
             while t > 1e-13:
                 Wt = W + t * dW
-                ld = _chol_logdet(Wt)
-                if ld is not None:
-                    ft = objective(Wt) - mu * ld
+                fac_t = _chol(Wt)
+                if fac_t is not None:
+                    ft = objective(Wt) - mu * fac_t[1]
                     if ft <= f0 - 0.25 * t * lam2:
                         W = Wt
-                        logdet = ld
+                        fac = fac_t
                         accepted = True
                         break
                 t *= 0.5

@@ -14,7 +14,14 @@ from sdpse.measurements import (
 )
 from sdpse.problem import assemble_problem, compute_residuals, extract_state
 from sdpse.sdpmat import build_matrix_set
-from sdpse.solver import SolverConfig, _chol, _solve_spd, _Terms, solve
+from sdpse.solver import (
+    SolverConfig,
+    _chol,
+    _inv_from_factor,
+    _solve_spd,
+    _Terms,
+    solve,
+)
 
 
 def solve_chain(n=6, seed=0, plan_kind="full", config=None):
@@ -229,8 +236,12 @@ def test_gram_matches_reference(doc, plan_kind, repair, dense_side, max_support)
     # not leak into the second.
     for seed in (3, 5):
         W = random_pd(d, seed)
-        G = terms.gram(W)
+        L, _ = _chol(W)
+        G = terms.gram(W, L)
         assert G.shape == (m, m)
+        if dense_side:
+            # P^T P fills one triangle and mirrors it.
+            assert np.array_equal(G, G.T)
         AW = A @ W
         ref = np.tensordot(AW, AW, axes=([1, 2], [2, 1]))
         np.testing.assert_allclose(
@@ -271,6 +282,32 @@ def test_term_table_matches_reference(doc, plan_kind, repair, dense_side, max_su
     acc = terms.accumulate(weights)
     assert acc.shape == (d, d)
     close(acc, ref)
+
+
+def test_factor_of_pd_matrix():
+    W = random_pd(9, 11)
+    L, logdet = _chol(W)
+    assert np.all(np.triu(L, 1) == 0.0)
+    np.testing.assert_allclose(L @ L.T, W, rtol=1e-12)
+    sign, ref = np.linalg.slogdet(W)
+    assert sign == 1.0
+    assert logdet == pytest.approx(ref, rel=1e-12)
+
+
+def test_inverse_from_factor():
+    W = random_pd(9, 12)
+    L, _ = _chol(W)
+    Winv = _inv_from_factor(L)
+    assert np.array_equal(Winv, Winv.T)
+    np.testing.assert_allclose(Winv, np.linalg.inv(W), rtol=1e-10)
+
+
+@pytest.mark.parametrize("where", [(1, 1), (2, 0)], ids=["diagonal", "off-diagonal"])
+def test_infinite_matrix_has_no_factor(where):
+    # NaN entries: test_non_finite_matrix_has_no_factor.
+    W = random_pd(5, 13)
+    W[where] = W[where[::-1]] = np.inf
+    assert _chol(W) is None
 
 
 def test_solve_spd_matches_dense_solve():
@@ -326,3 +363,22 @@ def test_non_pd_initial_w_falls_back_to_identity():
     n = model.n_nodes
     V_est = X[:n] + 1j * X[n:]
     assert np.max(np.abs(np.abs(V_est) - np.abs(V))) < 1e-6
+
+
+def test_repeated_solve_is_deterministic():
+    # The dense-side Gram reuses one buffer across iterations without
+    # re-zeroing it; nothing may carry over from one solve into the next.
+    model = netgen.model_from(netgen.chain_doc(6, seed=0))
+    mats = build_matrix_set(model)
+    V = netgen.random_state(model, seed=1)
+    meas = synthesize(
+        model, mats, state_to_X(V), full_plan(model, mats), NoiseSpec(level=2, seed=0)
+    )
+    prob = assemble_problem(mats, meas, anchors=[0])
+    keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
+    assert _Terms(prob, keep)._F is not None
+    first, second = solve(prob), solve(prob)
+    np.testing.assert_array_equal(first.W, second.W)
+    assert first.objective == second.objective
+    assert first.iterations == second.iterations
+    assert first.status == second.status
