@@ -40,6 +40,7 @@ from .observability import analyze
 from .partition import (
     Anchor,
     PartitionPlan,
+    anchor_from_doc,
     detect_topology,
     load_plan,
     propose_anchors,
@@ -94,20 +95,7 @@ def _load_anchor_file(path: str) -> List[Anchor]:
             raise ValidationError(f"anchors file {path}: invalid JSON ({exc})")
     if not isinstance(doc, list) or not doc:
         raise ValidationError("anchors file must be a non-empty JSON array")
-    anchors = []
-    for rec in doc:
-        extra = set(rec) - {"sub", "bus", "phase", "ref_angle_deg"}
-        if extra:
-            raise ValidationError(f"anchors file: unknown keys {sorted(extra)}")
-        anchors.append(
-            Anchor(
-                sub=int(rec.get("sub", -1)),
-                bus=str(rec["bus"]),
-                phase=rec.get("phase", "A"),
-                ref_angle_deg=float(rec.get("ref_angle_deg", 0.0)),
-            )
-        )
-    return anchors
+    return [anchor_from_doc(rec, "anchors file", default_sub=-1) for rec in doc]
 
 
 def _assign_anchor_subs(plan: PartitionPlan, anchors: List[Anchor]) -> List[Anchor]:

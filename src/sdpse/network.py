@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ValidationError
 
@@ -62,8 +65,29 @@ class Branch:
         return 1.0 / self.series_admittance
 
 
+def edge_graph(n: int, a: Sequence[int], b: Sequence[int]) -> sp.csr_matrix:
+    """Symmetric 0/1 CSR graph on n vertices with an edge per (a[e], b[e]);
+    repeated edges merge, self-loops drop and indices are sorted."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    key = np.sort(np.concatenate([a * n + b, b * n + a]))
+    rows, cols = np.divmod(key, n)
+    keep = rows != cols
+    keep[1:] &= key[1:] != key[:-1]
+    rows, cols = rows[keep], cols[keep]
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    return sp.csr_matrix(
+        (np.ones(len(cols)), cols.astype(np.int32), indptr), shape=(n, n)
+    )
+
+
 class NetworkModel:
-    """Validated, immutable network with its assembled admittance matrix."""
+    """Validated, immutable network with its assembled admittance matrix.
+
+    ``node_graph`` joins the two end nodes of every in-service branch;
+    ``bus_graph`` is the same graph on buses, in model order.  Both are
+    symmetric CSR matrices with sorted indices.
+    """
 
     def __init__(self, buses: List[Bus], nodes: List[Node], branches: List[Branch]):
         self.buses = list(buses)
@@ -74,6 +98,10 @@ class NetworkModel:
         }
         self.bus_by_id: Dict[str, Bus] = {b.id: b for b in buses}
         self.ybus = assemble_ybus(buses, nodes, branches)
+        live = [br for br in branches if br.in_service]
+        self.node_graph = edge_graph(
+            len(nodes), [br.from_node for br in live], [br.to_node for br in live]
+        )
         heads = [b.id for b in buses if b.is_feeder_head]
         self.feeder_head: str = heads[0] if heads else buses[0].id
 
@@ -103,6 +131,29 @@ class NetworkModel:
         nd = self.nodes[idx]
         return {"bus": nd.bus, "phase": nd.phase}
 
+    def neighbors(self, k: int) -> List[int]:
+        """Nodes joined to node k by an in-service branch, ascending."""
+        g = self.node_graph
+        return g.indices[g.indptr[k] : g.indptr[k + 1]].tolist()
+
+    def unreached(self, sources: Iterable[int]) -> np.ndarray:
+        """Nodes that no path of in-service branches joins to any of
+        ``sources``, ascending."""
+        seen = np.zeros(self.n_nodes, dtype=bool)
+        for s in sources:
+            if not seen[s]:
+                found = breadth_first_order(self.node_graph, s, return_predecessors=False)
+                seen[found] = True
+        return np.flatnonzero(~seen)
+
+    @cached_property
+    def bus_graph(self) -> sp.csr_matrix:
+        pos = {b.id: i for i, b in enumerate(self.buses)}
+        bus_of = np.array([pos[nd.bus] for nd in self.nodes], dtype=np.int64)
+        g = self.node_graph
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(g.indptr))
+        return edge_graph(len(self.buses), bus_of[rows], bus_of[g.indices])
+
 
 def assemble_ybus(
     buses: Sequence[Bus], nodes: Sequence[Node], branches: Sequence[Branch]
@@ -126,21 +177,6 @@ def assemble_ybus(
         y[l, m] -= ys
         y[m, l] -= ys
     return y
-
-
-def adjacency(model: NetworkModel) -> Dict[str, Set[str]]:
-    """Bus-level adjacency from nonzero off-diagonal ybus entries."""
-    adj: Dict[str, Set[str]] = {b.id: set() for b in model.buses}
-    rows, cols = np.nonzero(model.ybus)
-    for r, c in zip(rows, cols):
-        if r == c:
-            continue
-        bi = model.nodes[r].bus
-        bj = model.nodes[c].bus
-        if bi != bj:
-            adj[bi].add(bj)
-            adj[bj].add(bi)
-    return adj
 
 
 _BUS_KEYS = {"id", "phases", "feeder_head", "base_kV"}
@@ -255,39 +291,15 @@ def parse_network(document: dict) -> NetworkModel:
             )
         )
 
-    _check_connected(buses, nodes, branches, heads[0].id)
-    return NetworkModel(buses, nodes, branches)
-
-
-def _check_connected(
-    buses: Sequence[Bus],
-    nodes: Sequence[Node],
-    branches: Sequence[Branch],
-    head: str,
-) -> None:
-    n = len(nodes)
-    neighbors: List[List[int]] = [[] for _ in range(n)]
-    for br in branches:
-        if not br.in_service:
-            continue
-        neighbors[br.from_node].append(br.to_node)
-        neighbors[br.to_node].append(br.from_node)
-    seen = [False] * n
-    stack = [nd.index for nd in nodes if nd.bus == head]
-    for s in stack:
-        seen[s] = True
-    while stack:
-        i = stack.pop()
-        for j in neighbors[i]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    missing = [(nodes[i].bus, nodes[i].phase) for i in range(n) if not seen[i]]
+    model = NetworkModel(buses, nodes, branches)
+    unreached = model.unreached(model.nodes_of_bus(heads[0].id))
+    missing = [(nodes[i].bus, nodes[i].phase) for i in unreached]
     if missing:
         raise ValidationError(
             f"disconnected graph: {len(missing)} node(s) unreachable from the "
             f"feeder head, e.g. {missing[:5]}"
         )
+    return model
 
 
 def load_network(path: str) -> NetworkModel:

@@ -89,7 +89,7 @@ def analyze(
     for m in measurements:
         if m.kind in ("P_inj", "Q_inj"):
             covered.add(m.node)
-            covered.update(mats.neighbors(m.node))
+            covered.update(model.neighbors(m.node))
         elif m.kind in ("P_flow", "Q_flow"):
             covered.add(m.node)
             covered.add(m.far_node)

@@ -1,39 +1,40 @@
 """Feeder topology detection, sub-network separation, and decoupled
 estimation with per-sub-network angle anchors.
 
-Separation works on the bus-level spanning tree rooted at the feeder head:
-the subtree whose size best matches the target is carved off repeatedly, and
-the leftover fragment around the root becomes the final sub-network.  Each
-sub-network is estimated independently with its anchor node's angle fixed to
-zero, then rotated by the anchor's reference angle and merged.
+Every graph question here is a ``scipy.sparse.csgraph`` call on the model's
+bus graph.  Separation works on the bus-level spanning tree rooted at the
+feeder head: the subtree whose size best matches the target is carved off
+repeatedly, and the leftover fragment around the root becomes the final
+sub-network.  Each sub-network is estimated independently with its anchor
+node's angle fixed to zero, then rotated by the anchor's reference angle and
+merged.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    connected_components,
+    depth_first_order,
+)
 
 from .errors import SolverError, ValidationError
 from .measurements import Measurement, X_to_state, repair_observability
-from .network import NetworkModel, adjacency, restrict
+from .network import NetworkModel, edge_graph, restrict
 from .problem import assemble_problem, solve_to_state
 from .sdpmat import build_matrix_set
 from .solver import SolverConfig
-
 
 @dataclass
 class TopologyInfo:
     order: List[str]  # buses in discovery order from the feeder head
     parent: Dict[str, Optional[str]]
-    children: Dict[str, List[str]]
-    ancestors: Dict[str, List[str]]
-    generation: Dict[str, Set[str]]
-
-    def rank(self, bus: str) -> int:
-        return len(self.generation[bus])
 
 
 @dataclass
@@ -68,29 +69,53 @@ class PartitionPlan:
         }
 
 
+def anchor_from_doc(rec, where: str, default_sub: Optional[int] = None) -> Anchor:
+    """One {"sub", "bus", "phase", "ref_angle_deg"} anchor record of a plan or
+    anchors file.  ``sub`` may be left out only when ``default_sub`` is
+    given; ``where`` names the record in error messages."""
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{where}: an anchor must be a JSON object")
+    extra = set(rec) - {"sub", "bus", "phase", "ref_angle_deg"}
+    if extra:
+        raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
+    required = ("bus",) if default_sub is not None else ("sub", "bus")
+    for key in required:
+        if key not in rec:
+            raise ValidationError(f"{where}: missing key {key!r}")
+    try:
+        sub = int(rec.get("sub", default_sub))
+        ref = float(rec.get("ref_angle_deg", 0.0))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{where}: sub must be an integer and ref_angle_deg a number"
+        )
+    if not math.isfinite(ref):
+        raise ValidationError(f"{where}: ref_angle_deg must be finite")
+    return Anchor(
+        sub=sub, bus=str(rec["bus"]), phase=rec.get("phase", "A"), ref_angle_deg=ref
+    )
+
+
 def plan_from_doc(doc: dict) -> PartitionPlan:
+    if not isinstance(doc, dict):
+        raise ValidationError("plan must be a JSON object")
     allowed = {"sub_networks", "tie_lines", "anchors", "policy"}
     extra = set(doc) - allowed
     if extra:
         raise ValidationError(f"unknown keys {sorted(extra)} in plan")
-    anchors = []
-    for rec in doc.get("anchors", []):
-        a_extra = set(rec) - {"sub", "bus", "phase", "ref_angle_deg"}
-        if a_extra:
-            raise ValidationError(f"unknown keys {sorted(a_extra)} in plan anchor")
-        anchors.append(
-            Anchor(
-                sub=int(rec["sub"]),
-                bus=str(rec["bus"]),
-                phase=rec.get("phase", "A"),
-                ref_angle_deg=float(rec.get("ref_angle_deg", 0.0)),
-            )
-        )
+    for key in ("sub_networks", "tie_lines", "anchors"):
+        if not isinstance(doc.get(key, []), list):
+            raise ValidationError(f"plan {key} must be a JSON array")
+    if not all(isinstance(sub, list) for sub in doc.get("sub_networks", [])):
+        raise ValidationError("plan sub_networks must be arrays of bus ids")
+    policy = doc.get("policy", "ignore")
+    if policy not in ("ignore", "update"):
+        raise ValidationError(f"plan policy must be 'ignore' or 'update', got {policy!r}")
     return PartitionPlan(
         sub_networks=[[str(b) for b in sub] for sub in doc.get("sub_networks", [])],
         tie_lines=[str(t) for t in doc.get("tie_lines", [])],
-        anchors=anchors,
-        policy=doc.get("policy", "ignore"),
+        anchors=[anchor_from_doc(rec, "plan anchor") for rec in doc.get("anchors", [])],
+        policy=policy,
     )
 
 
@@ -109,76 +134,79 @@ def save_plan(path: str, plan: PartitionPlan) -> None:
         fh.write("\n")
 
 
+def _bus_pos(model: NetworkModel) -> Dict[str, int]:
+    return {b.id: i for i, b in enumerate(model.buses)}
+
+
 def detect_topology(model: NetworkModel) -> TopologyInfo:
     """Rooted spanning tree of the bus graph, breadth-first from the feeder
-    head.  Already-visited buses are never re-entered, so meshed networks
-    yield a valid tree too."""
-    adj = adjacency(model)
-    head = model.feeder_head
-    parent: Dict[str, Optional[str]] = {head: None}
-    children: Dict[str, List[str]] = {b.id: [] for b in model.buses}
-    ancestors: Dict[str, List[str]] = {head: []}
-    order = [head]
-    queue = [head]
-    while queue:
-        i = queue.pop(0)
-        for j in sorted(adj[i]):
-            if j in parent:
-                continue
-            parent[j] = i
-            ancestors[j] = [i] + ancestors[i]
-            children[i].append(j)
-            order.append(j)
-            queue.append(j)
-    unreached = [b.id for b in model.buses if b.id not in parent]
-    if unreached:
+    head, each bus's neighbours taken in sorted-id order.  Already-visited
+    buses are never re-entered, so meshed networks yield a valid tree too."""
+    pos = _bus_pos(model)
+    ids = sorted(pos)
+    at = np.array([pos[b] for b in ids], dtype=np.intp)
+    # The search visits neighbours in stored order, so the permuted graph
+    # needs its indices sorted again.
+    g = model.bus_graph[at][:, at]
+    g.sort_indices()
+    found, pred = breadth_first_order(g, ids.index(model.feeder_head))
+    order = [ids[i] for i in found]
+    if len(order) < len(ids):
+        reached = set(order)
+        unreached = [b.id for b in model.buses if b.id not in reached]
         raise ValidationError(f"disconnected graph: unreached buses {unreached[:5]}")
-    generation: Dict[str, Set[str]] = {b.id: set() for b in model.buses}
-    for i in reversed(order):
-        for c in children[i]:
-            generation[i].add(c)
-            generation[i] |= generation[c]
-    return TopologyInfo(
-        order=order,
-        parent=parent,
-        children=children,
-        ancestors=ancestors,
-        generation=generation,
-    )
+    parent = {ids[i]: (ids[pred[i]] if pred[i] >= 0 else None) for i in found}
+    return TopologyInfo(order=order, parent=parent)
 
 
 def separate(model: NetworkModel, topology: TopologyInfo, d: int) -> PartitionPlan:
     """Carve the tree into sub-networks of roughly d buses each.
 
-    Repeatedly picks the bus whose subtree size (itself plus its remaining
-    descendants) is closest to d, ties broken toward the earliest-discovered
-    bus, removes that subtree, and updates the ancestors' bookkeeping.  The
-    buses left around the root at the end form the final sub-network.
+    Repeatedly picks the bus whose remaining subtree (itself plus its
+    uncarved descendants) has the size closest to d, ties broken toward the
+    earliest-discovered bus, carves that subtree off and takes its size off
+    every ancestor's count.  A depth-first preorder of the tree makes each
+    subtree one slice.  The buses left around the root at the end form the
+    final sub-network.
     """
     if d < 1:
         raise ValidationError("sub-network size must be >= 1")
-    gen: Dict[str, Set[str]] = {b: set(s) for b, s in topology.generation.items()}
-    carved: Set[str] = set()
-    pos = {b: i for i, b in enumerate(topology.order)}
+    order = topology.order
+    n = len(order)
+    pos = {b: i for i, b in enumerate(order)}
+    # Buses are numbered by discovery, so a parent precedes its children.
+    par = [pos.get(topology.parent[b], -1) for b in order]
+    size = np.ones(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        size[par[i]] += size[i]
+    tree = edge_graph(n, par[1:], range(1, n))
+    pre = depth_first_order(tree, 0, return_predecessors=False)
+    start = np.empty(n, dtype=np.intp)
+    start[pre] = np.arange(n)
+
+    remaining = size.copy()
+    alive = np.ones(n, dtype=bool)
     subs: List[List[str]] = []
     while True:
-        candidates = [b for b in topology.order if b not in carved and len(gen[b]) > 0]
-        if not candidates:
+        candidates = alive & (remaining > 1)
+        if not candidates.any():
             break
-        i = min(candidates, key=lambda b: (abs(d - (len(gen[b]) + 1)), pos[b]))
-        sub = ({i} | gen[i]) - carved
-        subs.append(sorted(sub, key=pos.get))
-        for a in topology.ancestors[i]:
-            if a not in carved:
-                gen[a] -= sub
-        for s in sub:
-            gen[s] = set()
-            carved.add(s)
-    leftover = [b for b in topology.order if b not in carved]
+        gap = np.where(candidates, np.abs(d - remaining), np.iinfo(np.int64).max)
+        i = int(np.argmin(gap))
+        block = pre[start[i] : start[i] + size[i]]
+        sub = np.sort(block[alive[block]])
+        subs.append([order[j] for j in sub])
+        alive[sub] = False
+        path = []
+        a = par[i]
+        while a >= 0:
+            path.append(a)
+            a = par[a]
+        remaining[path] -= remaining[i]
+    leftover = [order[j] for j in np.flatnonzero(alive)]
     if leftover:
         subs.append(leftover)
-    plan = PartitionPlan(sub_networks=subs, tie_lines=_tie_lines(model, subs))
-    return plan
+    return PartitionPlan(sub_networks=subs, tie_lines=_tie_lines(model, subs))
 
 
 def _tie_lines(model: NetworkModel, subs: List[List[str]]) -> List[str]:
@@ -200,32 +228,17 @@ def _tie_lines(model: NetworkModel, subs: List[List[str]]) -> List[str]:
 def separate_on_switches(model: NetworkModel) -> PartitionPlan:
     """Connected components after removing every switch branch; switches
     (open or closed) become the tie-lines."""
-    adj: Dict[str, Set[str]] = {b.id: set() for b in model.buses}
-    for br in model.branches:
-        if br.is_switch or not br.in_service:
-            continue
-        bl = model.nodes[br.from_node].bus
-        bm = model.nodes[br.to_node].bus
-        if bl != bm:
-            adj[bl].add(bm)
-            adj[bm].add(bl)
-    pos = {b.id: i for i, b in enumerate(model.buses)}
-    seen: Set[str] = set()
-    subs: List[List[str]] = []
-    for b in model.buses:
-        if b.id in seen:
-            continue
-        comp = []
-        stack = [b.id]
-        seen.add(b.id)
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in sorted(adj[i]):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        subs.append(sorted(comp, key=pos.get))
+    pos = _bus_pos(model)
+    bus_of = [pos[nd.bus] for nd in model.nodes]
+    kept = [br for br in model.branches if br.in_service and not br.is_switch]
+    g = edge_graph(
+        len(pos), [bus_of[br.from_node] for br in kept], [bus_of[br.to_node] for br in kept]
+    )
+    # Components are labelled in order of their lowest bus index.
+    n_comp, label = connected_components(g, directed=False)
+    subs: List[List[str]] = [[] for _ in range(n_comp)]
+    for b, k in zip(model.buses, label):
+        subs[k].append(b.id)
     ties = [br.id for br in model.branches if br.is_switch]
     return PartitionPlan(sub_networks=subs, tie_lines=ties)
 
@@ -233,17 +246,17 @@ def separate_on_switches(model: NetworkModel) -> PartitionPlan:
 def propose_anchors(model: NetworkModel, plan: PartitionPlan) -> List[Anchor]:
     """Highest-degree bus of each sub-network, as a starting point for manual
     anchor assignment (estimation still requires explicit anchors)."""
-    adj = adjacency(model)
+    pos = _bus_pos(model)
+    degree = np.diff(model.bus_graph.indptr)
     out = []
     for k, sub in enumerate(plan.sub_networks):
-        best = max(sub, key=lambda b: len(adj[b]))
+        best = max(sub, key=lambda b: degree[pos[b]])
         phase = model.bus_by_id[best].phases[0]
         out.append(Anchor(sub=k, bus=best, phase=phase, ref_angle_deg=0.0))
     return out
 
 
 def validate_plan(model: NetworkModel, plan: PartitionPlan) -> None:
-    all_buses = [b.id for b in model.buses]
     seen: Set[str] = set()
     for sub in plan.sub_networks:
         for b in sub:
@@ -252,21 +265,25 @@ def validate_plan(model: NetworkModel, plan: PartitionPlan) -> None:
             if b in seen:
                 raise ValidationError(f"bus {b!r} appears in two sub-networks")
             seen.add(b)
-    missing = set(all_buses) - seen
+    missing = set(model.bus_by_id) - seen
     if missing:
         raise ValidationError(f"plan does not cover buses {sorted(missing)[:5]}")
-    # Connectedness of each induced subgraph.
-    adj = adjacency(model)
-    for k, sub in enumerate(plan.sub_networks):
-        sset = set(sub)
-        stack, comp = [sub[0]], {sub[0]}
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j in sset and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        if comp != sset:
+    # Connectedness of each induced subgraph: components of the bus graph
+    # without the edges between sub-networks.
+    pos = _bus_pos(model)
+    members = [[pos[b] for b in sub] for sub in plan.sub_networks]
+    owner = np.empty(len(pos), dtype=np.intp)
+    for k, idx in enumerate(members):
+        owner[idx] = k
+    g = model.bus_graph.tocoo()
+    inner = owner[g.row] == owner[g.col]
+    _, label = connected_components(
+        edge_graph(len(pos), g.row[inner], g.col[inner]), directed=False
+    )
+    for k, idx in enumerate(members):
+        if not idx:
+            raise ValidationError(f"sub-network {k} is empty")
+        if label[idx].min() != label[idx].max():
             raise ValidationError(f"sub-network {k} is not connected")
     for a in plan.anchors:
         if not (0 <= a.sub < len(plan.sub_networks)):

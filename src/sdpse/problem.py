@@ -42,27 +42,6 @@ class SdpProblem:
         return len(self.rows)
 
 
-def _node_components(mats: MeasurementMatrixSet) -> List[set]:
-    n = mats.n_nodes
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = set()
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.add(i)
-            for j in mats.neighbors(i):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(comp)
-    return comps
-
-
 def lifted_readings(
     mats: MeasurementMatrixSet, measurements: Sequence[Measurement]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,12 +79,12 @@ def assemble_problem(
     for a in anchors:
         if not (0 <= a < n):
             raise ValidationError(f"anchor node {a} out of range")
-    for comp in _node_components(mats):
-        if not comp.intersection(anchors):
-            raise ValidationError(
-                f"no anchor in connected component containing node {min(comp)}; "
-                "the angle reference is undetermined"
-            )
+    unreached = mats.model.unreached(anchors)
+    if len(unreached):
+        raise ValidationError(
+            f"no anchor in connected component containing node {unreached[0]}; "
+            "the angle reference is undetermined"
+        )
     rows, z, sig = lifted_readings(mats, measurements)
     return SdpProblem(
         matrix_set=mats,

@@ -96,9 +96,6 @@ class MeasurementMatrixSet:
             key: PairData(series=pair_series[key], shunt_at_from=pair_shunt[key])
             for key in pair_series
         }
-        self._neighbors: List[List[int]] = [[] for _ in range(n)]
-        for l, m in sorted(self.pairs):
-            self._neighbors[l].append(m)
 
         # Rows: P_inj, Q_inj and Vmag per node, then P_flow and Q_flow per pair.
         keys = list(self.pairs)
@@ -153,9 +150,6 @@ class MeasurementMatrixSet:
         self.c = c[nz]
         self.start = np.searchsorted(self.row, np.arange(len(locations) + 1))
 
-    def neighbors(self, k: int) -> List[int]:
-        return self._neighbors[k]
-
     def rows_of(self, locations: Iterable[Sequence]) -> np.ndarray:
         """Row ids of (kind, node, far_node) locations, in the given order."""
         out = []
@@ -204,8 +198,9 @@ class MeasurementMatrixSet:
         """
         out: List[Identity] = []
         for k in range(self.n_nodes):
+            nbrs = self.model.neighbors(k)
             for inj, flow in (("P_inj", "P_flow"), ("Q_inj", "Q_flow")):
-                locs = [(inj, k, None)] + [(flow, k, m) for m in self._neighbors[k]]
+                locs = [(inj, k, None)] + [(flow, k, m) for m in nbrs]
                 if all(loc in present for loc in locs):
                     terms = [(loc, 1.0, False) for loc in locs]
                     out.append(Identity(f"node_{inj[0]}", (k,), terms))

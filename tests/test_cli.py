@@ -298,3 +298,37 @@ def test_synth_zero_injection_buses(workdir):
     zi = [rec for rec in doc if rec["provenance"] == "zero_injection"]
     assert len(zi) == 4
     assert all(rec["value"] == 0.0 for rec in zi)
+
+
+@pytest.mark.parametrize(
+    "plan_doc, anchors_doc, message",
+    [
+        ({"sub_networks": [["b0", "b1", "b2", "b3", "b4", "b5"], []]}, None,
+         "sub-network 1 is empty"),
+        ({"sub_networks": [["b0", "b1", "b2", "b3", "b4", "b5"]],
+          "anchors": [{"sub": 0}]}, None, "plan anchor: missing key 'bus'"),
+        ({"sub_networks": [["b0", "b1", "b2", "b3", "b4", "b5"]],
+          "anchors": [{"sub": 0, "bus": "b0", "ref_angle_deg": "x"}]}, None,
+         "ref_angle_deg a number"),
+        ({"sub_networks": [["b0", "b1", "b2", "b3", "b4", "b5"]], "policy": "merge"},
+         None, "plan policy"),
+        (None, [{"phase": "A"}], "anchors file: missing key 'bus'"),
+    ],
+    ids=["empty-sub", "anchor-no-bus", "bad-angle", "bad-policy", "anchors-file-no-bus"],
+)
+def test_estimate_malformed_plan_or_anchors_exits_2(
+    workdir, synth0, plan_doc, anchors_doc, message
+):
+    args = ["estimate", "--network", str(workdir["net"]), "--measurements", str(synth0),
+            "--out", str(workdir["root"] / "malformed")]
+    if plan_doc is not None:
+        plan = workdir["root"] / "malformed_plan.json"
+        plan.write_text(json.dumps(plan_doc))
+        args += ["--plan", str(plan)]
+    anchors = workdir["anchors"]
+    if anchors_doc is not None:
+        anchors = workdir["root"] / "malformed_anchors.json"
+        anchors.write_text(json.dumps(anchors_doc))
+    res = run_cli(args + ["--anchors", str(anchors)])
+    assert res.exit_code == 2
+    assert message in res.output

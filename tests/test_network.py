@@ -6,7 +6,6 @@ import pytest
 import netgen
 from sdpse.errors import ValidationError
 from sdpse.network import (
-    adjacency,
     load_network,
     parse_network,
     restrict,
@@ -179,10 +178,56 @@ def test_load_network_roundtrip(tmp_path):
 
 def test_adjacency_symmetric():
     model = netgen.model_from(netgen.tree_doc(12, seed=7, meshed_extra=2))
-    adj = adjacency(model)
-    for a, nbrs in adj.items():
-        for b in nbrs:
-            assert a in adj[b]
+    g = model.bus_graph.toarray()
+    assert np.array_equal(g, g.T)
+    assert model.bus_graph.has_sorted_indices
+    # The bus pairs of the nonzero off-diagonal Ybus entries.
+    pos = {b.id: i for i, b in enumerate(model.buses)}
+    bus_of = np.array([pos[nd.bus] for nd in model.nodes])
+    rows, cols = np.nonzero(model.ybus)
+    want = np.zeros_like(g)
+    want[bus_of[rows], bus_of[cols]] = 1.0
+    np.fill_diagonal(want, 0.0)
+    assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [netgen.tree_doc(30, seed=4, meshed_extra=5), netgen.multiphase_feeder_doc()],
+    ids=["meshed-tree", "multiphase"],
+)
+def test_node_graph_is_offdiagonal_ybus_pattern(doc):
+    model = netgen.model_from(doc)
+    g = model.node_graph
+    assert g.has_sorted_indices
+    dense = g.toarray()
+    assert np.array_equal(dense, dense.T)
+    pattern = (model.ybus != 0).astype(float)
+    np.fill_diagonal(pattern, 0.0)
+    assert np.array_equal(dense, pattern)
+
+
+def test_neighbors_are_sorted_python_ints():
+    model = netgen.model_from(netgen.multiphase_feeder_doc())
+    for k in range(model.n_nodes):
+        nbrs = model.neighbors(k)
+        assert all(type(j) is int for j in nbrs)
+        want = [j for j in np.flatnonzero(model.ybus[k]) if j != k]
+        assert nbrs == want
+
+
+def test_phase_node_cut_off_while_its_bus_stays_connected():
+    doc = netgen.multiphase_feeder_doc()
+    cut = {"bus": "675", "phase": "C"}
+    doc["branches"] = [
+        br for br in doc["branches"] if cut not in (br["from"], br["to"])
+    ]
+    with pytest.raises(ValidationError) as err:
+        parse_network(doc)
+    assert str(err.value) == (
+        "disconnected graph: 1 node(s) unreachable from the feeder head, "
+        "e.g. [('675', 'C')]"
+    )
 
 
 def test_restrict_keeps_internal_branches_only():

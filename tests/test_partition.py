@@ -14,6 +14,7 @@ from sdpse.partition import (
     Anchor,
     PartitionPlan,
     _restrict_measurements,
+    anchor_from_doc,
     detect_topology,
     estimate_decoupled,
     load_plan,
@@ -34,9 +35,18 @@ def test_detect_topology_chain():
     assert topo.order == [f"b{i}" for i in range(6)]
     assert topo.parent["b0"] is None
     assert topo.parent["b3"] == "b2"
-    assert topo.ancestors["b3"] == ["b2", "b1", "b0"]
-    assert topo.rank("b0") == 5
-    assert topo.rank("b5") == 0
+
+    def ancestors(b):
+        out = []
+        while topo.parent[b] is not None:
+            b = topo.parent[b]
+            out.append(b)
+        return out
+
+    assert ancestors("b3") == ["b2", "b1", "b0"]
+    # Descendant counts.
+    assert sum("b0" in ancestors(b) for b in topo.order) == 5
+    assert sum("b5" in ancestors(b) for b in topo.order) == 0
 
 
 def test_detect_topology_handles_meshes():
@@ -182,3 +192,39 @@ def test_tie_policy_update_folds_flow_into_injection():
     kept2 = _restrict_measurements(model, meas, {"b0", "b1"}, node_map, "ignore")
     inj2 = [m for m in kept2 if m.kind == "P_inj"][0]
     assert inj2.value == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"anchors": [{"sub": 0, "phase": "A"}]}, "missing key 'bus'"),
+        ({"anchors": [{"bus": "b0"}]}, "missing key 'sub'"),
+        ({"anchors": [{"sub": 0, "bus": "b0", "ref_angle_deg": "north"}]}, "a number"),
+        ({"anchors": [{"sub": 0, "bus": "b0", "ref_angle_deg": float("inf")}]},
+         "finite"),
+        ({"anchors": [{"sub": "first", "bus": "b0"}]}, "an integer"),
+        ({"anchors": [{"sub": float("inf"), "bus": "b0"}]}, "an integer"),
+        ({"anchors": ["b0"]}, "JSON object"),
+        ({"policy": "merge"}, "policy"),
+        ({"tie_lines": 3}, "tie_lines must be a JSON array"),
+        ({"sub_networks": ["b0", "b1"]}, "arrays of bus ids"),
+        (["b0"], "JSON object"),
+    ],
+)
+def test_plan_doc_rejects_malformed_records(doc, message):
+    with pytest.raises(ValidationError, match=message):
+        plan_from_doc(doc)
+
+
+def test_anchors_file_record_needs_bus_not_sub():
+    assert anchor_from_doc({"bus": "b3"}, "anchors file", default_sub=-1) == Anchor(
+        sub=-1, bus="b3", phase="A"
+    )
+    with pytest.raises(ValidationError, match="^anchors file: missing key 'bus'$"):
+        anchor_from_doc({"sub": 0, "phase": "A"}, "anchors file", default_sub=-1)
+
+
+def test_validate_plan_rejects_empty_sub_network():
+    model = netgen.model_from(netgen.chain_doc(4))
+    with pytest.raises(ValidationError, match="^sub-network 1 is empty$"):
+        validate_plan(model, PartitionPlan([["b0", "b1", "b2", "b3"], []], []))

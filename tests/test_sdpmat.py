@@ -147,7 +147,7 @@ def check_network_identities(model, mats, tol=1e-12):
     for k in range(n):
         accP, accQ = dense(mats, "P_inj", k), dense(mats, "Q_inj", k)
         scale = max(np.max(np.abs(accP)), 1.0)
-        for m in mats.neighbors(k):
+        for m in sorted(m for l, m in mats.pairs if l == k):
             accP = accP + dense(mats, "P_flow", k, m)
             accQ = accQ + dense(mats, "Q_flow", k, m)
         assert np.max(np.abs(accP)) <= tol * scale
