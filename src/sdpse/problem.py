@@ -109,9 +109,10 @@ def solve_to_state(
 ) -> Tuple[SolveReport, np.ndarray, float]:
     """Solve and return the report, the lifted state X and its rank-1 ratio.
 
-    The polished rank-one point is used when the solver kept it, with the
+    The polished rank-one point is used when the solver returns one, with the
     sign fixed so the first anchor's real part is non-negative; otherwise the
-    state is extracted from W.
+    state is extracted from W.  Either way the ratio is lambda2/lambda1 of the
+    barrier solution and is checked as ``extract_state`` checks it.
     """
     report = solve(problem, config)
     if report.status == "numerical_failure":
@@ -122,6 +123,7 @@ def solve_to_state(
     X = report.polished_X
     if X[problem.anchors[0]] < 0:
         X = -X
+    _check_rank1(report.rank1_ratio_raw)
     return report, X, report.rank1_ratio_raw
 
 
@@ -147,6 +149,12 @@ def extract_state(
         pivot = int(np.argmax(np.abs(X)))
     if X[pivot] < 0:
         X = -X
+    _check_rank1(ratio, raise_on_bad)
+    return X, float(ratio)
+
+
+def _check_rank1(ratio: float, raise_on_bad: bool = True) -> None:
+    """Raise above RANK1_ERROR (unless told not to), warn above RANK1_SILENT."""
     if ratio > RANK1_ERROR and raise_on_bad:
         raise RankRecoveryError(
             f"rank-1 quality ratio {ratio:.3g} exceeds {RANK1_ERROR}; "
@@ -156,6 +164,5 @@ def extract_state(
         warnings.warn(
             f"rank-1 quality ratio {ratio:.3g} above {RANK1_SILENT}; "
             "treat the extracted state with caution",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return X, float(ratio)

@@ -4,11 +4,13 @@ Primal barrier Newton method on
 
     f_mu(W) = sum_i (z_i - Tr(A_i W))^2 / sigma_i^2  -  mu * logdet(W)
 
-over the anchored subspace (anchored rows/columns eliminated), with mu driven
-geometrically toward zero.  The Newton step is computed through a
-matrix-inversion-lemma reformulation that only needs an m x m factorization
-(m = number of measurements) plus products against the sparse coefficient
-terms, never a dense Hessian over matrix space.
+over the anchored subspace (anchored rows/columns eliminated), with mu cut by
+``barrier_reduction`` (20-fold by default) after each centering pass.  The
+Newton step is taken in the form ``dW = W + W A^*(y) W``, where y solves the
+m x m system ``(G + mu Sigma / 2) y = z - 2 A(W)`` (m = number of
+measurements, Sigma the reading variances): one factorization, products
+against the sparse coefficient terms, and neither a dense Hessian over matrix
+space, nor W^-1, nor a division by mu.
 
 That m x m system is the Gram matrix G[i, j] = Tr(A_i W A_j W).  It is built
 from a support-row table: one sparse row per measurement i and index a whose
@@ -22,18 +24,21 @@ smaller amount of work.
 
 Each barrier iteration is a handful of library calls, so their number sets
 the cost on small sub-networks.  One LAPACK Cholesky factor L per accepted
-iterate serves every use of W inside the iteration: its logdet, W^-1 (from
-``dpotri``) and the dense-side Gram.  The line search factors each trial
-point, and the accepted one's factor is carried into the next iteration
-instead of factoring W again.  The term products are ``np.bincount`` sums
-over the row-sorted term table, and the Schur solve calls LAPACK's
-``dpotrf``/``dpotrs`` directly, reading ``info``.
+iterate serves every use of W inside the iteration: its logdet and the
+dense-side Gram.  The line search factors each trial point, and the accepted
+one's factor is carried into the next iteration instead of factoring W again.
+The term products are ``np.bincount`` sums over the row-sorted term table,
+and the Schur solve calls LAPACK's ``dpotrf``/``dpotrs`` directly, reading
+``info``.
 
 A rank-one Gauss-Newton refinement runs afterwards: the leading eigenvector
-of the barrier solution seeds a Levenberg-Marquardt descent on the unlifted
-state, which tightens consistent problems down to machine precision.  The
-refined point is kept only when it strictly improves the objective, so
-ill-posed problems keep the (honestly bad) barrier solution.
+x_e of the barrier solution seeds a Levenberg-Marquardt descent on the
+unlifted state, which tightens consistent problems down to machine
+precision.  LM only accepts descending steps, so the refined state's misfit
+is at most that of x_e x_e^T, and it is always returned.  The relaxed
+objective is no yardstick for it: it is a lower bound on every rank-one
+misfit.  How far the barrier solution is from rank one is reported all the
+same, as the ratio lambda2/lambda1 of its two leading eigenvalues.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ValidationError
 
@@ -55,7 +60,9 @@ if TYPE_CHECKING:
 class SolverConfig:
     max_iterations: int = 200
     convergence_tol: float = 1e-9
-    barrier_reduction: float = 0.2
+    # A 20-fold cut per centering pass, inside the 10-20 that Boyd &
+    # Vandenberghe (Convex Optimization, 11.3.3) recommend.
+    barrier_reduction: float = 0.05
     initial_W: Union[str, np.ndarray] = "identity_scaled"
     polish: bool = True
     mu_initial: float = 1.0
@@ -71,11 +78,15 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    W: np.ndarray
-    objective: float
+    W: np.ndarray  # X X^T of polished_X when polished, else the barrier solution
+    objective: float  # weighted misfit of the returned W
     iterations: int
     status: str  # converged | max_iter | numerical_failure
+    # The refined rank-one state; None when the polish is off, the barrier
+    # failed or its solution has no positive eigenvalue.
     polished_X: Optional[np.ndarray] = None
+    # lambda2/lambda1 of the barrier solution, polished or not; NaN when that
+    # has no positive eigenvalue or the barrier failed.
     rank1_ratio_raw: float = float("nan")
 
 
@@ -193,14 +204,6 @@ def _chol(M: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
     return (L, logdet) if np.isfinite(logdet) else None
 
 
-def _inv_from_factor(L: np.ndarray) -> np.ndarray:
-    """M^-1 from the factor ``_chol`` returns, exactly symmetric.  ``dpotri``
-    writes the lower triangle and leaves the (zero) upper one alone."""
-    inv = dpotri(L, lower=1)[0]
-    inv += np.tril(inv, -1).T
-    return inv
-
-
 def _solve_spd(M: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """SPD solve with escalating diagonal regularization on failure.
 
@@ -223,6 +226,36 @@ def _solve_spd(M: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         else:
             return None
     return dpotrs(fac[0], b, lower=1)[0]
+
+
+def _newton_step(
+    terms: _Terms,
+    W: np.ndarray,
+    L: np.ndarray,
+    z: np.ndarray,
+    res: np.ndarray,
+    w: np.ndarray,
+    mu: float,
+) -> Optional[Tuple[np.ndarray, float]]:
+    """Newton direction dW of f_mu at W and its decrement lam2 = <-grad, dW>;
+    None when the Schur matrix has no factor, even regularized.
+
+    L is W's lower Cholesky factor and ``res = z - A(W)``.  The Hessian is
+    ``2 A^*(w o A(.)) + mu W^-1 (.) W^-1``; with ``dW = W + W A^*(y) W`` the
+    Newton equation reduces to ``(G + mu Sigma / 2) y = z - 2 A(W)``, Sigma
+    = 1/w the reading variances, and ``Tr(W^-1 dW) = d + y . A(W)``, so
+    neither W^-1 nor a 1/mu factor appears."""
+    AW = z - res
+    S = terms.gram(W, L)
+    S.flat[:: terms.m + 1] += 0.5 * mu / w
+    y = _solve_spd(S, res - AW)
+    if y is None:
+        return None
+    B = W @ terms.accumulate(y) @ W
+    dW = W + (B + B.T) / 2.0
+    lam2 = 2.0 * float(np.dot(w * res, terms.values(dW)))
+    lam2 += mu * (terms.d + float(np.dot(y, AW)))
+    return dW, lam2
 
 
 def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -262,7 +295,6 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
     mu = config.mu_initial * max(objective(W) / d, 1e-6)
     iterations = 0
     status = "converged"
-    sigma2_half = problem.sigma * problem.sigma / 2.0
     # Factor and logdet of the current W; the line search hands over the
     # accepted trial point's.
     fac = _chol(W)
@@ -277,22 +309,12 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
                 status = "numerical_failure"
                 break
             L, logdet = fac
-            Winv = _inv_from_factor(L)
             res = z - terms.values(W)
-            # Exactly symmetric: so is every A_i in the term table, and so is
-            # the W^-1 that dpotri gives.
-            Rm = 2.0 * terms.accumulate(w * res) + mu * Winv
-            T = W @ Rm @ W
-            u = terms.values(T)
-            G = terms.gram(W, L)
-            G.flat[:: terms.m + 1] += mu * sigma2_half
-            s = _solve_spd(G, u)
-            if s is None:
+            step = _newton_step(terms, W, L, z, res, w, mu)
+            if step is None:
                 status = "numerical_failure"
                 break
-            dW = (T - W @ terms.accumulate(s) @ W) / mu
-            dW = (dW + dW.T) / 2.0
-            lam2 = float(np.sum(Rm * dW))
+            dW, lam2 = step
             iterations += 1
             if lam2 <= 0:
                 break
@@ -326,26 +348,17 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
             break
         mu *= config.barrier_reduction
 
-    obj_W = objective(W)
+    obj_out = objective(W)
     polished_X = None
-    obj_out = obj_W
     ratio_raw = float("nan")
     if status != "numerical_failure":
-        vals = np.linalg.eigvalsh(W)
+        vals, vecs = np.linalg.eigh(W)
         lam1 = vals[-1]
-        lam2v = max(vals[-2], 0.0) if d > 1 else 0.0
         if lam1 > 0:
-            ratio_raw = lam2v / lam1
-        if config.polish and lam1 > 0:
-            X, obj_X = _polish(terms, z, w, W)
-            if obj_X < obj_W:
-                # The refined rank-one point is the better minimizer of the
-                # same convex problem, so it becomes the returned solution
-                # (and is exactly rank one).
-                polished_X = X
-                obj_out = obj_X
-                W = np.outer(X, X)
-                ratio_raw = 0.0
+            ratio_raw = (max(vals[-2], 0.0) if d > 1 else 0.0) / lam1
+            if config.polish:
+                polished_X, obj_out = _polish(terms, z, w, np.sqrt(lam1) * vecs[:, -1])
+                W = np.outer(polished_X, polished_X)
 
     W_full = np.zeros((dim, dim))
     W_full[np.ix_(keep, keep)] = W
@@ -364,12 +377,12 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
 
 
 def _polish(
-    terms: _Terms, z: np.ndarray, w: np.ndarray, W: np.ndarray
+    terms: _Terms, z: np.ndarray, w: np.ndarray, X: np.ndarray
 ) -> Tuple[np.ndarray, float]:
-    """Levenberg-Marquardt on the unlifted state, seeded from W's leading
-    eigenvector.  Returns the refined state and its objective."""
-    vals, vecs = np.linalg.eigh(W)
-    X = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
+    """Levenberg-Marquardt on the unlifted state from the seed X (the barrier
+    solution's leading eigenvector state).  Only descending steps are taken,
+    so the result fits no worse than X X^T.  Returns the refined state and its
+    objective."""
     sw = np.sqrt(w)
 
     def obj_of(Xc: np.ndarray) -> float:

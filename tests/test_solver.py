@@ -12,12 +12,17 @@ from sdpse.measurements import (
     state_to_X,
     synthesize,
 )
-from sdpse.problem import assemble_problem, compute_residuals, extract_state
+from sdpse.problem import (
+    assemble_problem,
+    compute_residuals,
+    extract_state,
+    solve_to_state,
+)
 from sdpse.sdpmat import build_matrix_set
 from sdpse.solver import (
     SolverConfig,
     _chol,
-    _inv_from_factor,
+    _newton_step,
     _solve_spd,
     _Terms,
     solve,
@@ -294,12 +299,135 @@ def test_factor_of_pd_matrix():
     assert logdet == pytest.approx(ref, rel=1e-12)
 
 
-def test_inverse_from_factor():
-    W = random_pd(9, 12)
-    L, _ = _chol(W)
-    Winv = _inv_from_factor(L)
-    assert np.array_equal(Winv, Winv.T)
-    np.testing.assert_allclose(Winv, np.linalg.inv(W), rtol=1e-10)
+def multiphase_head_doc():
+    """The 5-bus, 13-node head of the multiphase feeder (650 down to 646)."""
+    doc = netgen.multiphase_feeder_doc()
+    keep = {"650", "RG60", "632", "645", "646"}
+    return {
+        "buses": [b for b in doc["buses"] if b["id"] in keep],
+        "branches": [
+            br
+            for br in doc["branches"]
+            if br["from"]["bus"] in keep and br["to"]["bus"] in keep
+        ],
+    }
+
+
+def dense_newton(A, z, w, W, mu):
+    """Newton direction and decrement of
+    f(W) = sum_i w_i (z_i - <A_i, W>)^2 - mu logdet W, from its dense Hessian
+    2 A^*(w o A(.)) + mu W^-1 (.) W^-1 over symmetric d x d matrices, each
+    stored as its upper triangle with off-diagonal entries weighted by
+    sqrt(2) (an isometry, so inner products carry over)."""
+    d = W.shape[0]
+    iu, ju = np.triu_indices(d)
+    scale = np.where(iu == ju, 1.0, np.sqrt(2.0))
+
+    def vec(X):
+        return X[iu, ju] * scale
+
+    def mat(v):
+        X = np.zeros((d, d))
+        X[iu, ju] = v / scale
+        return X + np.triu(X, 1).T
+
+    Winv = np.linalg.inv(W)
+    Avec = np.array([vec(Ai) for Ai in A])
+    basis = [mat(e) for e in np.eye(len(iu))]
+    H = 2.0 * Avec.T @ (w[:, None] * Avec)
+    H += mu * np.array([vec(Winv @ E @ Winv) for E in basis]).T
+    res = z - np.einsum("kab,ab->k", A, W)
+    neg_grad = 2.0 * np.einsum("k,kab->ab", w * res, A) + mu * Winv
+    dW = mat(np.linalg.solve(H, vec(neg_grad)))
+    return dW, float(np.sum(neg_grad * dW))
+
+
+@pytest.mark.parametrize(
+    "doc", [lambda: netgen.chain_doc(6, seed=4), multiphase_head_doc],
+    ids=["chain6-full", "multiphase-head-full"],
+)
+@pytest.mark.parametrize("steps", [0, 3])
+def test_newton_step_matches_dense_newton(doc, steps):
+    model = netgen.model_from(doc())
+    mats = build_matrix_set(model)
+    V = netgen.random_state(model, seed=2)
+    meas = synthesize(
+        model, mats, state_to_X(V), full_plan(model, mats), NoiseSpec(level=2, seed=0)
+    )
+    prob = assemble_problem(mats, meas, anchors=[0])
+    keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
+    terms = _Terms(prob, keep)
+    d, z = terms.d, prob.z
+    A = np.array([reduced_dense(prob, keep, i) for i in range(terms.m)])
+    w = 1.0 / prob.sigma**2
+    # The barrier's own start (best multiple of I, mu at the misfit per
+    # dimension), then `steps` damped steps with mu cut 20x each: the
+    # Hessian's conditioning at the scales the barrier visits.
+    a = terms.values(np.eye(d))
+    W = float(np.dot(w * z, a) / np.dot(w * a, a)) * np.eye(d)
+    res = z - terms.values(W)
+    mu = float(np.dot(w, res * res)) / d
+
+    def newton(W, mu):
+        L, _ = _chol(W)
+        return _newton_step(terms, W, L, z, z - terms.values(W), w, mu)
+
+    for _ in range(steps):
+        dW = newton(W, mu)[0]
+        t = 1.0
+        while _chol(W + t * dW) is None:
+            t /= 2.0
+        W, mu = W + t * dW, 0.05 * mu
+    dW, lam2 = newton(W, mu)
+    ref_dW, ref_lam2 = dense_newton(A, z, w, W, mu)
+    assert np.array_equal(dW, dW.T)
+    np.testing.assert_allclose(dW, ref_dW, rtol=1e-8, atol=1e-8 * np.abs(ref_dW).max())
+    assert lam2 == pytest.approx(ref_lam2, rel=1e-8)
+
+
+def eigenvector_misfit(prob, W):
+    """Weighted misfit of the leading-eigenvector state of W."""
+    vals, vecs = np.linalg.eigh(W)
+    x = np.sqrt(vals[-1]) * vecs[:, -1]
+    _, rn = compute_residuals(prob, np.outer(x, x))
+    return float(np.sum(rn * rn))
+
+
+@pytest.mark.parametrize("noise_seed", range(5))
+def test_polish_is_kept_and_ratio_is_the_barriers(noise_seed):
+    model = netgen.model_from(netgen.tree_doc(34, seed=7, trunk_bias=3))
+    mats = build_matrix_set(model)
+    V = netgen.random_state(model, seed=2)
+    meas = synthesize(
+        model, mats, state_to_X(V), default_plan(model, mats),
+        NoiseSpec(level=2, seed=noise_seed),
+    )
+    meas, _ = repair_observability(model, mats, meas, "negate")
+    prob = assemble_problem(mats, meas, anchors=[0])
+    polished = solve(prob, SolverConfig(convergence_tol=1e-2))
+    barrier = solve(prob, SolverConfig(convergence_tol=1e-2, polish=False))
+    assert polished.polished_X is not None
+    np.testing.assert_array_equal(
+        polished.W, np.outer(polished.polished_X, polished.polished_X)
+    )
+    _, rn = compute_residuals(prob, polished.W)
+    misfit = float(np.sum(rn * rn))
+    assert misfit == pytest.approx(polished.objective, rel=1e-9)
+    assert misfit <= eigenvector_misfit(prob, barrier.W)
+    vals = np.linalg.eigvalsh(barrier.W)
+    assert polished.rank1_ratio_raw == pytest.approx(vals[-2] / vals[-1], rel=1e-9)
+
+
+def test_polished_path_still_flags_rank_deficiency():
+    # Magnitudes alone leave every angle free, so the barrier lands far from
+    # rank one; a polished state must not hide that.
+    model = netgen.model_from(netgen.chain_doc(6, seed=0))
+    mats = build_matrix_set(model)
+    meas = [Measurement("Vmag", k, 1.0 + 0.01 * k, 0.01) for k in range(6)]
+    prob = assemble_problem(mats, meas, anchors=[0])
+    assert solve(prob).polished_X is not None
+    with pytest.raises(RankRecoveryError, match="exceeds"):
+        solve_to_state(prob)
 
 
 @pytest.mark.parametrize("where", [(1, 1), (2, 0)], ids=["diagonal", "off-diagonal"])
