@@ -112,7 +112,7 @@ def solve_to_state(
     The polished rank-one point is used when the solver returns one, with the
     sign fixed so the first anchor's real part is non-negative; otherwise the
     state is extracted from W.  Either way the ratio is lambda2/lambda1 of the
-    barrier solution and is checked as ``extract_state`` checks it.
+    relaxed solution and is checked as ``extract_state`` checks it.
     """
     report = solve(problem, config)
     if report.status == "numerical_failure":

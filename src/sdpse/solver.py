@@ -1,54 +1,69 @@
 """Embedded solver for the relaxed estimation problem.
 
-Primal barrier Newton method on
+Primal-dual interior-point method on
 
-    f_mu(W) = sum_i (z_i - Tr(A_i W))^2 / sigma_i^2  -  mu * logdet(W)
+    minimize  sum_i w_i r_i^2   subject to   r + A(W) = z,   W PSD,
 
-over the anchored subspace (anchored rows/columns eliminated), with mu cut by
-``barrier_reduction`` (20-fold by default) after each centering pass.  The
-Newton step is taken in the form ``dW = W + W A^*(y) W``, where y solves the
-m x m system ``(G + mu Sigma / 2) y = z - 2 A(W)`` (m = number of
-measurements, Sigma the reading variances): one factorization, products
-against the sparse coefficient terms, and neither a dense Hessian over matrix
-space, nor W^-1, nor a division by mu.
+with w_i = 1/sigma_i^2, A(W)_i = Tr(A_i W) and W on the anchored subspace
+(anchored rows/columns eliminated).  The iterate is (W, S, r): S is the dual
+slack and the multiplier lambda = 2 w o r is implied by r, so its
+stationarity residual is exactly zero.  The residuals left are the primal
+``Rp = z - r - A(W)`` and the dual ``Rd = S + A^*(2 w o r)``.
 
-That m x m system is the Gram matrix G[i, j] = Tr(A_i W A_j W).  It is built
-from a support-row table: one sparse row per measurement i and index a whose
-row of A_i is nonzero (ns rows in all), so one product with the table gives
-every nonzero row of every A_i W or A_i L.  When m d^2 <= ns^2 (d the reduced
-dimension) G is the Gram matrix of the symmetric d x d matrices L^T A_i L,
-W = L L^T, each packed to its upper triangle; otherwise G sums the ns x ns
-Hadamard product K o K^T, with K = (M W) restricted to the support indices,
-over the owners of its rows.  Both are exact; the rule only picks the
-smaller amount of work.
+Each iteration takes the Nesterov-Todd direction (Todd, Toh & Tutuncu, SIAM
+J. Optim. 8, 1998) with Mehrotra's predictor-corrector (SIAM J. Optim. 2,
+1992).  With W = L L^T and ``L^T S L = V Lam^2 V^T``, the scaling matrix is
+``R = L V Lam^-1/2``: ``What = R R^T`` satisfies ``What S What = W``, and
+``R^T S R = R^-1 W R^-T = Lam``.  For a scaled complementarity right-hand
+side K the Newton equations reduce to the m x m system
 
-Each barrier iteration is a handful of library calls, so their number sets
-the cost on small sub-networks.  One LAPACK Cholesky factor L per accepted
-iterate serves every use of W inside the iteration: its logdet and the
-dense-side Gram.  The line search factors each trial point, and the accepted
-one's factor is carried into the next iteration instead of factoring W again.
-The term products are ``np.bincount`` sums over the row-sorted term table,
-and the Schur solve calls LAPACK's ``dpotrf``/``dpotrs`` directly, reading
-``info``.
+    (G + Sigma/2) dlam = Rp - A(R (K + R^T Rd R) R^T),
+
+G[i, j] = Tr(A_i What A_j What) and Sigma the reading variances, followed by
+``dS = -A^*(dlam) - Rd``, ``dW = R (K - R^T dS R) R^T`` and ``dr = Sigma
+dlam / 2``.  One factorization of that system serves the predictor (K =
+-Lam) and the corrector (K from sigma mu I - Lam^2 minus the predictor's
+second-order term, sigma = (mu_aff/mu)^3).  Both directions step 0.99 of the
+way to the boundary of the cone, at most 1, with one step length for W, S
+and r; the boundary comes from the smallest eigenvalues of the scaled steps.
+The solve stops once the measured gap <W, S> is below the convergence
+tolerance relative to the objective and the dual residual is small against S.
+
+The Gram matrix G is built from a support-row table: one sparse row per
+measurement i and index a whose row of A_i is nonzero (ns rows in all), so
+one product with the table gives every nonzero row of every A_i What or
+A_i R.  When m d^2 <= ns^2 (d the reduced dimension) G is the Gram matrix of
+the symmetric d x d matrices R^T A_i R, each packed to its upper triangle;
+otherwise G sums the ns x ns Hadamard product K o K^T, with K = (M What)
+restricted to the support indices, over the owners of its rows.  Both are
+exact; the rule only picks the smaller amount of work.  The term products
+are ``np.bincount`` sums over the row-sorted term table, and the factor
+and solves call LAPACK's ``dpotrf``/``dpotrs`` directly, reading ``info``.
+
+At an iterate whose dual residual meets the stopping rule, lambda = 2 w o r
+gives the dual bound ``lambda . z - sum_i lambda_i^2 / (4 w_i)`` whenever
+``-A^*(lambda)`` is PSD (checked by a Cholesky factorization): no W in the
+cone fits better, so it certifies how far the relaxed objective is from its
+optimum.  The best such bound is reported.
 
 A rank-one Gauss-Newton refinement runs afterwards: the leading eigenvector
-x_e of the barrier solution seeds a Levenberg-Marquardt descent on the
-unlifted state, which tightens consistent problems down to machine
+x_e of the interior-point solution seeds a Levenberg-Marquardt descent on
+the unlifted state, which tightens consistent problems down to machine
 precision.  LM only accepts descending steps, so the refined state's misfit
 is at most that of x_e x_e^T, and it is always returned.  The relaxed
 objective is no yardstick for it: it is a lower bound on every rank-one
-misfit.  How far the barrier solution is from rank one is reported all the
-same, as the ratio lambda2/lambda1 of its two leading eigenvalues.
+misfit.  How far the interior-point solution is from rank one is reported
+all the same, as the ratio lambda2/lambda1 of its two leading eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dstebz, dsyevd, dsytrd
 
 from .errors import ValidationError
 
@@ -60,34 +75,32 @@ if TYPE_CHECKING:
 class SolverConfig:
     max_iterations: int = 200
     convergence_tol: float = 1e-9
-    # A 20-fold cut per centering pass, inside the 10-20 that Boyd &
-    # Vandenberghe (Convex Optimization, 11.3.3) recommend.
-    barrier_reduction: float = 0.05
     initial_W: Union[str, np.ndarray] = "identity_scaled"
     polish: bool = True
-    mu_initial: float = 1.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
         if not (self.convergence_tol > 0):
             raise ValidationError("convergence_tol must be positive")
-        if not (0.0 < self.barrier_reduction < 1.0):
-            raise ValidationError("barrier_reduction must be in (0, 1)")
 
 
 @dataclass
 class SolveReport:
-    W: np.ndarray  # X X^T of polished_X when polished, else the barrier solution
+    W: np.ndarray  # X X^T of polished_X when polished, else the relaxed solution
     objective: float  # weighted misfit of the returned W
-    iterations: int
+    iterations: int  # interior-point iterations taken
     status: str  # converged | max_iter | numerical_failure
-    # The refined rank-one state; None when the polish is off, the barrier
+    # The refined rank-one state; None when the polish is off, the solve
     # failed or its solution has no positive eigenvalue.
     polished_X: Optional[np.ndarray] = None
-    # lambda2/lambda1 of the barrier solution, polished or not; NaN when that
-    # has no positive eigenvalue or the barrier failed.
+    # lambda2/lambda1 of the relaxed solution, polished or not; NaN when that
+    # has no positive eigenvalue or the solve failed.
     rank1_ratio_raw: float = float("nan")
+    # Lower bound on the relaxed objective, and so on every rank-one misfit:
+    # the best over the dual-feasible iterates whose -A^*(lambda) has a
+    # Cholesky factor; NaN when none has, so no bound is certified.
+    dual_bound: float = float("nan")
 
 
 class _Terms:
@@ -164,8 +177,8 @@ class _Terms:
         return out.reshape(d, d)
 
     def gram(self, W: np.ndarray, L: np.ndarray) -> np.ndarray:
-        """G[i, j] = Tr(A_i W A_j W), given W and its lower Cholesky factor L
-        (upper triangle zero)."""
+        """G[i, j] = Tr(A_i W A_j W), given W and a square factor L with
+        W = L L^T."""
         if self._F is not None:
             m, d = self.m, self.d
             self._F[self.sup, self.own] = self.M @ L
@@ -189,73 +202,125 @@ class _Terms:
         return out
 
 
-def _chol(M: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
-    """Lower Cholesky factor L of M, its upper triangle zero, and logdet(M);
-    None when M is not numerically positive definite or not finite.
+def _chol(M: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factor L of M, its upper triangle zero; None when M is
+    not numerically positive definite or not finite.
 
     This is LAPACK's ``dpotrf``; OpenBLAS's build tests a pivot only for
     ``<= 0``, so a NaN in the lower triangle passes with ``info == 0``.  It
-    always reaches the factor's diagonal, and so the logdet, which is
-    checked instead."""
+    always reaches the factor's diagonal, which is checked instead."""
     L, info = dpotrf(M, lower=1, clean=1)
-    if info != 0:
+    if info != 0 or not np.isfinite(L.diagonal()).all():
         return None
-    logdet = 2.0 * float(np.sum(np.log(L.diagonal())))
-    return (L, logdet) if np.isfinite(logdet) else None
+    return L
 
 
-def _solve_spd(M: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """SPD solve with escalating diagonal regularization on failure.
+def _factor_spd(M: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of an SPD matrix, for ``dpotrs``, with
+    escalating diagonal regularization on failure; None when even that fails.
 
-    In the barrier this factors the m x m Schur matrix, once per iteration.
     When M has no factor, up to seven retries add a jitter growing from
     1e-14 of M's mean diagonal (at least 1e-14) by 100x each to a copy's
     diagonal."""
-    fac = _chol(M)
-    if fac is None:
+    L = _chol(M)
+    if L is None:
         n = len(M)
         jitter = 1e-14 * max(np.trace(M) / max(n, 1), 1.0)
         Mj = M.copy()
         diag = M.diagonal()
         for _ in range(7):
             Mj.flat[:: n + 1] = diag + jitter
-            fac = _chol(Mj)
-            if fac is not None:
+            L = _chol(Mj)
+            if L is not None:
                 break
             jitter *= 100.0
-        else:
-            return None
-    return dpotrs(fac[0], b, lower=1)[0]
+    return L
 
 
-def _newton_step(
+Direction = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _linearize(
     terms: _Terms,
-    W: np.ndarray,
-    L: np.ndarray,
-    z: np.ndarray,
-    res: np.ndarray,
     w: np.ndarray,
-    mu: float,
-) -> Optional[Tuple[np.ndarray, float]]:
-    """Newton direction dW of f_mu at W and its decrement lam2 = <-grad, dW>;
-    None when the Schur matrix has no factor, even regularized.
+    W: np.ndarray,
+    S: np.ndarray,
+    Rp: np.ndarray,
+    Rd: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray, Callable[..., Direction]]]:
+    """NT scaling at (W, S) and the Newton direction of the residuals
+    ``Rp = z - r - A(W)`` and ``Rd = S + A^*(2 w o r)``.
 
-    L is W's lower Cholesky factor and ``res = z - A(W)``.  The Hessian is
-    ``2 A^*(w o A(.)) + mu W^-1 (.) W^-1``; with ``dW = W + W A^*(y) W`` the
-    Newton equation reduces to ``(G + mu Sigma / 2) y = z - 2 A(W)``, Sigma
-    = 1/w the reading variances, and ``Tr(W^-1 dW) = d + y . A(W)``, so
-    neither W^-1 nor a 1/mu factor appears."""
-    AW = z - res
-    S = terms.gram(W, L)
-    S.flat[:: terms.m + 1] += 0.5 * mu / w
-    y = _solve_spd(S, res - AW)
-    if y is None:
+    Returns R and lam, with ``R R^T S R R^T = W`` and ``R^T S R = R^-1 W R^-T
+    = diag(lam)``, and ``direction(K, AK=None)``: the step (dWt, dSt, dS, dr)
+    that solves the linearized equations ``dr + A(dW) = Rp``, ``dS + A^*(2 w
+    o dr) = -Rd`` and ``dWt + dSt = K``, where ``dWt = R^-1 dW R^-T`` and
+    ``dSt = R^T dS R`` are the scaled steps (so ``dW = R dWt R^T``); AK is
+    ``A(R K R^T)`` when the caller has it.  None when W or S is not
+    numerically positive definite, or the Schur matrix has no factor even
+    regularized."""
+    L = _chol(W)
+    if L is None:
         return None
-    B = W @ terms.accumulate(y) @ W
-    dW = W + (B + B.T) / 2.0
-    lam2 = 2.0 * float(np.dot(w * res, terms.values(dW)))
-    lam2 += mu * (terms.d + float(np.dot(y, AW)))
-    return dW, lam2
+    vals, V, info = dsyevd(L.T @ S @ L, compute_v=1, lower=1, overwrite_a=1)
+    if info != 0 or not vals[0] > 0:
+        return None
+    lam = np.sqrt(vals)
+    R = L @ (V / np.sqrt(lam))
+    Wh = R @ R.T
+    G = terms.gram(Wh, R)
+    G.flat[:: terms.m + 1] += 0.5 / w
+    F = _factor_spd(G)
+    if F is None:
+        return None
+    rhs0 = Rp - terms.values(Wh @ Rd @ Wh)
+
+    def direction(K: np.ndarray, AK: Optional[np.ndarray] = None) -> Direction:
+        if AK is None:
+            AK = terms.values(R @ K @ R.T)
+        dlam = dpotrs(F, rhs0 - AK, lower=1)[0]
+        dS = -terms.accumulate(dlam) - Rd
+        dSt = R.T @ dS @ R
+        return K - dSt, dSt, dS, 0.5 * dlam / w
+
+    return R, lam, direction
+
+
+def _eigs(D: np.ndarray, *ranks: int) -> List[float]:
+    """Eigenvalues of the symmetric D (lower triangle read, overwritten) at
+    the given ranks, 1 the smallest: one tridiagonal reduction (``dsytrd``),
+    then bisection (``dstebz``) for each."""
+    if len(D) == 1:
+        return [float(D[0, 0])] * len(ranks)
+    _, diag, off, _, _ = dsytrd(D, lower=1, overwrite_a=1)
+    out = []
+    for k in ranks:
+        _, e, _, _, info = dstebz(diag, off, 3, 0.0, 0.0, k, k, 0.0, "E")
+        out.append(float(e[0]) if info == 0 else float("nan"))
+    return out
+
+
+def _step_length(*lowest: float) -> float:
+    """0.99 of the largest t with 1 + t e >= 0 for every e in ``lowest``, at
+    most 1.  With e the smallest eigenvalues of the scaled steps
+    ``Lam^-1/2 dWt Lam^-1/2`` and ``Lam^-1/2 dSt Lam^-1/2``, that is 0.99 of
+    the distance to the boundary of the cone."""
+    t = 1.0
+    for e in lowest:
+        if e < 0:
+            t = min(t, -0.99 / e)
+    return t
+
+
+def _dual_bound(terms: _Terms, w: np.ndarray, z: np.ndarray, r: np.ndarray) -> float:
+    """``lambda . z - sum_i lambda_i^2 / (4 w_i)`` for lambda = 2 w o r, which
+    equals ``(w o r) . (2 z - r)``, when ``-A^*(lambda)`` has a Cholesky
+    factor, else NaN.  For every PSD W, ``sum_i w_i (z - A(W))_i^2 >=
+    lambda . (z - A(W)) - sum_i lambda_i^2 / (4 w_i)`` and ``-lambda . A(W)
+    = <-A^*(lambda), W> >= 0``, so no W fits better than the bound."""
+    if _chol(-terms.accumulate(2.0 * w * r)) is None:
+        return float("nan")
+    return float(np.dot(w * r, 2.0 * z - r))
 
 
 def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -269,6 +334,7 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
     d = terms.d
     w = 1.0 / (problem.sigma * problem.sigma)
     z = problem.z
+    tol = config.convergence_tol
 
     def objective(Wm: np.ndarray) -> float:
         res = z - terms.values(Wm)
@@ -281,72 +347,72 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
         else:
             W = W + 1e-8 * np.eye(d)
     else:
-        # Best multiple of the identity in the least-squares sense: the
-        # objective is quadratic in the scale, so the minimizer is closed
-        # form.  This matters when measurement weights are large; a plain
-        # identity start can sit many orders of magnitude off.
+        # Ten times the best multiple of the identity in the least-squares
+        # sense: the objective is quadratic in the scale, so the minimizer is
+        # closed form.  This matters when measurement weights are large; a
+        # plain identity start can sit many orders of magnitude off.
         a = terms.values(np.eye(d))
         denom = float(np.dot(w * a, a))
         alpha = float(np.dot(w * z, a)) / denom if denom > 0 else 1.0
-        W = max(alpha, 1e-6) * np.eye(d)
-
-    # Start the barrier at the scale of the initial misfit so the first
-    # centering passes are genuinely damped, then drive it down.
-    mu = config.mu_initial * max(objective(W) / d, 1e-6)
+        W = 10.0 * max(alpha, 1e-6) * np.eye(d)
+    # A centered start: S a multiple of I with <W, S> = f(W), and r primal
+    # feasible.
+    S = (objective(W) / np.trace(W)) * np.eye(d)
+    r = z - terms.values(W)
     iterations = 0
     status = "converged"
-    # Factor and logdet of the current W; the line search hands over the
-    # accepted trial point's.
-    fac = _chol(W)
+    dual_bound = float("nan")
 
     while True:
-        # Center at the current mu.
-        for _ in range(40):
-            if iterations >= config.max_iterations:
-                status = "max_iter"
-                break
-            if fac is None:
-                status = "numerical_failure"
-                break
-            L, logdet = fac
-            res = z - terms.values(W)
-            step = _newton_step(terms, W, L, z, res, w, mu)
-            if step is None:
-                status = "numerical_failure"
-                break
-            dW, lam2 = step
-            iterations += 1
-            if lam2 <= 0:
-                break
-            # Backtracking line search keeping the iterate PSD.
-            f0 = float(np.dot(w, res * res)) - mu * logdet
-            t = 1.0
-            accepted = False
-            while t > 1e-13:
-                Wt = W + t * dW
-                fac_t = _chol(Wt)
-                if fac_t is not None:
-                    ft = objective(Wt) - mu * fac_t[1]
-                    if ft <= f0 - 0.25 * t * lam2:
-                        W = Wt
-                        fac = fac_t
-                        accepted = True
-                        break
-                t *= 0.5
-            if not accepted:
-                break
-            if lam2 < max(1e-16, 0.1 * mu):
-                break
-        if status != "converged":
+        AW = terms.values(W)
+        res = z - AW
+        Rd = S + terms.accumulate(2.0 * w * r)
+        dual_feasible = np.linalg.norm(Rd) <= tol * max(1.0, float(np.linalg.norm(S)))
+        # At the last iterates S's smallest eigenvalues sink to rounding
+        # against its largest, so the final one alone can fail the
+        # certificate: the best bound over the dual-feasible iterates is kept.
+        if dual_feasible:
+            dual_bound = float(np.fmax(dual_bound, _dual_bound(terms, w, z, r)))
+        # Converged: the measured gap <W, S> is small against the misfit (or,
+        # on a near-exact fit, against 1e-2 tol per dimension).
+        if dual_feasible and float(np.vdot(W, S)) <= max(
+            tol * float(np.dot(w, res * res)), 1e-2 * tol * d
+        ):
             break
-        # Stop once mu is negligible against the (post-centering) objective;
-        # the floor is evaluated after centering so a bad start cannot end
-        # the solve before any progress is made.
-        obj = objective(W)
-        mu_min = max(config.convergence_tol * 1e-2, config.convergence_tol * obj / d)
-        if mu < mu_min:
+        if iterations >= config.max_iterations:
+            status = "max_iter"
             break
-        mu *= config.barrier_reduction
+        lin = _linearize(terms, w, W, S, res - r, Rd)
+        if lin is None:
+            status = "numerical_failure"
+            break
+        R, lam, direction = lin
+        mu = float(np.dot(lam, lam)) / d
+        s = 1.0 / np.sqrt(lam)
+        s = s[:, None] * s
+        # Predictor: the affine-scaling direction, K = -Lam, for which
+        # R K R^T = -W.  Its scaled W step is -Lam minus its scaled S step,
+        # so one spectrum gives both distances to the boundary.
+        Lam = np.diag(lam)
+        dWa, dSa, _, _ = direction(-Lam, -AW)
+        lo, hi = _eigs(dSa * s, 1, d)
+        t = _step_length(lo, -1.0 - hi)
+        mu_aff = float(np.vdot(Lam + t * dWa, Lam + t * dSa)) / d
+        # Capped at 1: while the residuals are large, <dWa, dSa> can be
+        # positive enough for mu_aff to exceed mu.
+        sigma = min((mu_aff / mu) ** 3, 1.0)
+        # Corrector: aim at sigma mu on the central path, with the
+        # predictor's second-order term.
+        C = dWa @ dSa
+        C = -0.5 * (C + C.T)
+        C.flat[:: d + 1] += sigma * mu - lam * lam
+        dWt, dSt, dS, dr = direction(2.0 * C / (lam[:, None] + lam))
+        t = _step_length(_eigs(dWt * s, 1)[0], _eigs(dSt * s, 1)[0])
+        dW = R @ dWt @ R.T
+        W = W + (0.5 * t) * (dW + dW.T)
+        S = S + t * dS
+        r = r + t * dr
+        iterations += 1
 
     obj_out = objective(W)
     polished_X = None
@@ -373,13 +439,14 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
         status=status,
         polished_X=X_full,
         rank1_ratio_raw=ratio_raw,
+        dual_bound=dual_bound,
     )
 
 
 def _polish(
     terms: _Terms, z: np.ndarray, w: np.ndarray, X: np.ndarray
 ) -> Tuple[np.ndarray, float]:
-    """Levenberg-Marquardt on the unlifted state from the seed X (the barrier
+    """Levenberg-Marquardt on the unlifted state from the seed X (the relaxed
     solution's leading eigenvector state).  Only descending steps are taken,
     so the result fits no worse than X X^T.  Returns the refined state and its
     objective."""
@@ -397,9 +464,10 @@ def _polish(
         Jw = sw[:, None] * J
         g = Jw.T @ (sw * r)
         H = Jw.T @ Jw
-        step = _solve_spd(H + lam * np.eye(len(X)), -g)
-        if step is None:
+        F = _factor_spd(H + lam * np.eye(len(X)))
+        if F is None:
             break
+        step = dpotrs(F, -g, lower=1)[0]
         Xn = X + step
         fn = obj_of(Xn)
         if fn < fx:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrs
 
 import netgen
 from sdpse.errors import RankRecoveryError, SolverError, ValidationError
@@ -22,8 +23,11 @@ from sdpse.sdpmat import build_matrix_set
 from sdpse.solver import (
     SolverConfig,
     _chol,
-    _newton_step,
-    _solve_spd,
+    _dual_bound,
+    _eigs,
+    _factor_spd,
+    _linearize,
+    _step_length,
     _Terms,
     solve,
 )
@@ -158,6 +162,13 @@ def test_degenerate_w_rejected():
         extract_state(np.zeros((4, 4)), [0])
 
 
+def test_iteration_cap_reports_max_iter():
+    model, mats, V, prob, report = solve_chain(config=SolverConfig(max_iterations=3))
+    assert report.status == "max_iter"
+    assert report.iterations == 3
+    assert np.all(np.isfinite(report.W))
+
+
 def test_solver_config_round_trip():
     cfg = SolverConfig(convergence_tol=1e-7, max_iterations=150)
     model, mats, V, prob, report = solve_chain(n=4, seed=2, config=cfg)
@@ -241,7 +252,7 @@ def test_gram_matches_reference(doc, plan_kind, repair, dense_side, max_support)
     # not leak into the second.
     for seed in (3, 5):
         W = random_pd(d, seed)
-        L, _ = _chol(W)
+        L = _chol(W)
         G = terms.gram(W, L)
         assert G.shape == (m, m)
         if dense_side:
@@ -291,12 +302,12 @@ def test_term_table_matches_reference(doc, plan_kind, repair, dense_side, max_su
 
 def test_factor_of_pd_matrix():
     W = random_pd(9, 11)
-    L, logdet = _chol(W)
+    L = _chol(W)
     assert np.all(np.triu(L, 1) == 0.0)
     np.testing.assert_allclose(L @ L.T, W, rtol=1e-12)
     sign, ref = np.linalg.slogdet(W)
     assert sign == 1.0
-    assert logdet == pytest.approx(ref, rel=1e-12)
+    assert 2.0 * np.sum(np.log(L.diagonal())) == pytest.approx(ref, rel=1e-12)
 
 
 def multiphase_head_doc():
@@ -313,13 +324,10 @@ def multiphase_head_doc():
     }
 
 
-def dense_newton(A, z, w, W, mu):
-    """Newton direction and decrement of
-    f(W) = sum_i w_i (z_i - <A_i, W>)^2 - mu logdet W, from its dense Hessian
-    2 A^*(w o A(.)) + mu W^-1 (.) W^-1 over symmetric d x d matrices, each
-    stored as its upper triangle with off-diagonal entries weighted by
-    sqrt(2) (an isometry, so inner products carry over)."""
-    d = W.shape[0]
+def svec_helpers(d):
+    """svec/smat for symmetric d x d matrices: the upper triangle with
+    off-diagonal entries weighted by sqrt(2), an isometry, so inner products
+    carry over."""
     iu, ju = np.triu_indices(d)
     scale = np.where(iu == ju, 1.0, np.sqrt(2.0))
 
@@ -331,15 +339,37 @@ def dense_newton(A, z, w, W, mu):
         X[iu, ju] = v / scale
         return X + np.triu(X, 1).T
 
-    Winv = np.linalg.inv(W)
+    return vec, mat
+
+
+def sym_power(X, p):
+    vals, vecs = np.linalg.eigh(X)
+    return (vecs * vals**p) @ vecs.T
+
+
+def dense_kkt(A, w, W, S, Rp, Rd, C):
+    """(dW, dS, dr) from a dense solve of the linearized optimality conditions
+
+        dr + A(dW) = Rp,   dS + A^*(2 w o dr) = -Rd,   dW + What dS What = C
+
+    over svec dW, svec dS and dr, with the NT scaling point What =
+    W^1/2 (W^1/2 S W^1/2)^-1/2 W^1/2."""
+    d, m = W.shape[0], len(w)
+    vec, mat = svec_helpers(d)
+    nt = d * (d + 1) // 2
+    Wr = sym_power(W, 0.5)
+    Wh = Wr @ sym_power(Wr @ S @ Wr, -0.5) @ Wr
     Avec = np.array([vec(Ai) for Ai in A])
-    basis = [mat(e) for e in np.eye(len(iu))]
-    H = 2.0 * Avec.T @ (w[:, None] * Avec)
-    H += mu * np.array([vec(Winv @ E @ Winv) for E in basis]).T
-    res = z - np.einsum("kab,ab->k", A, W)
-    neg_grad = 2.0 * np.einsum("k,kab->ab", w * res, A) + mu * Winv
-    dW = mat(np.linalg.solve(H, vec(neg_grad)))
-    return dW, float(np.sum(neg_grad * dW))
+    H = np.array([vec(Wh @ mat(e) @ Wh) for e in np.eye(nt)]).T
+    M = np.zeros((2 * nt + m, 2 * nt + m))
+    M[:m, :nt] = Avec
+    M[:m, 2 * nt:] = np.eye(m)
+    M[m:m + nt, nt:2 * nt] = np.eye(nt)
+    M[m:m + nt, 2 * nt:] = Avec.T * (2.0 * w)
+    M[m + nt:, :nt] = np.eye(nt)
+    M[m + nt:, nt:2 * nt] = H
+    x = np.linalg.solve(M, np.concatenate([Rp, -vec(Rd), vec(C)]))
+    return mat(x[:nt]), mat(x[nt:2 * nt]), x[2 * nt:], Wh
 
 
 @pytest.mark.parametrize(
@@ -360,29 +390,72 @@ def test_newton_step_matches_dense_newton(doc, steps):
     d, z = terms.d, prob.z
     A = np.array([reduced_dense(prob, keep, i) for i in range(terms.m)])
     w = 1.0 / prob.sigma**2
-    # The barrier's own start (best multiple of I, mu at the misfit per
-    # dimension), then `steps` damped steps with mu cut 20x each: the
-    # Hessian's conditioning at the scales the barrier visits.
+    # The solver's own start (ten times the best multiple of I, S a multiple
+    # of I with <W, S> = f(W), r primal feasible), then `steps` predictor
+    # steps: the scaling's conditioning at the points the solver visits.
     a = terms.values(np.eye(d))
-    W = float(np.dot(w * z, a) / np.dot(w * a, a)) * np.eye(d)
-    res = z - terms.values(W)
-    mu = float(np.dot(w, res * res)) / d
+    W = 10.0 * float(np.dot(w * z, a) / np.dot(w * a, a)) * np.eye(d)
+    r = z - terms.values(W)
+    S = float(np.dot(w, r * r)) / np.trace(W) * np.eye(d)
 
-    def newton(W, mu):
-        L, _ = _chol(W)
-        return _newton_step(terms, W, L, z, z - terms.values(W), w, mu)
+    def linearize(W, S, r):
+        Rp = z - r - np.einsum("kab,ab->k", A, W)
+        Rd = S + np.einsum("k,kab->ab", 2.0 * w * r, A)
+        return Rp, Rd, _linearize(terms, w, W, S, Rp, Rd)
 
     for _ in range(steps):
-        dW = newton(W, mu)[0]
-        t = 1.0
-        while _chol(W + t * dW) is None:
-            t /= 2.0
-        W, mu = W + t * dW, 0.05 * mu
-    dW, lam2 = newton(W, mu)
-    ref_dW, ref_lam2 = dense_newton(A, z, w, W, mu)
-    assert np.array_equal(dW, dW.T)
-    np.testing.assert_allclose(dW, ref_dW, rtol=1e-8, atol=1e-8 * np.abs(ref_dW).max())
-    assert lam2 == pytest.approx(ref_lam2, rel=1e-8)
+        R, lam, direction = linearize(W, S, r)[2]
+        dWt, dSt, dS, dr = direction(-np.diag(lam))
+        s = 1.0 / np.sqrt(lam)
+        scaled = [D * s[:, None] * s for D in (dWt, dSt)]
+        ends = [np.linalg.eigvalsh(D)[[0, -1]] for D in scaled]
+        assert _eigs(scaled[1].copy(), 1, d) == pytest.approx(ends[1], abs=1e-12)
+        t = _step_length(ends[0][0], ends[1][0])
+        assert 0.0 < t <= 1.0
+        dW = R @ dWt @ R.T
+        W, S, r = W + t * (dW + dW.T) / 2.0, S + t * dS, r + t * dr
+    Rp, Rd, (R, lam, direction) = linearize(W, S, r)
+
+    def close(got, ref, rtol, atol):
+        np.testing.assert_allclose(got, ref, rtol=rtol, atol=atol * np.abs(ref).max())
+
+    # K = -diag(lam), the predictor, asks for dW + What dS What = -W, and the
+    # solver passes A(R K R^T) = -A(W) for it.
+    predictor = -np.diag(lam)
+    for got, ref in zip(direction(predictor, -terms.values(W)), direction(predictor)):
+        close(got, ref, 1e-8, 1e-10)
+    K_rand = np.random.default_rng(5).normal(size=(d, d))
+    for K, C in ((predictor, -W), (K_rand + K_rand.T, None)):
+        dWt, dSt, dS, dr = direction(K)
+        dW = R @ dWt @ R.T
+        ref_dW, ref_dS, ref_dr, Wh = dense_kkt(
+            A, w, W, S, Rp, Rd, R @ K @ R.T if C is None else C
+        )
+        close(Wh @ S @ Wh, W, 1e-8, 1e-10)
+        close(R @ R.T, Wh, 1e-8, 1e-10)
+        close(R.T @ S @ R, np.diag(lam), 1e-7, 1e-10)
+        close(dSt, R.T @ dS @ R, 1e-10, 1e-12)
+        for got, ref in ((dW, ref_dW), (dS, ref_dS), (dr, ref_dr)):
+            close(got, ref, 1e-8, 1e-8)
+
+
+def test_dual_bound_needs_a_psd_certificate():
+    model, mats, V, prob, report = solve_chain()
+    keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
+    terms = _Terms(prob, keep)
+    w, z = 1.0 / prob.sigma**2, prob.z
+    # Each Vmag A_i is PSD, so lambda < 0 on the Vmag rows and 0 elsewhere
+    # makes -A^*(lambda) PSD, and every node has a Vmag reading in the full
+    # plan, so it is positive definite.
+    vmag = np.array([m.kind == "Vmag" for m in prob.measurements])
+    assert vmag.sum() == model.n_nodes
+    r = np.where(vmag, -1.0, 0.0) / (2.0 * w)
+    lam = 2.0 * w * r
+    bound = _dual_bound(terms, w, z, r)
+    ref = float(lam @ z - np.sum(lam**2 / (4.0 * w)))
+    assert bound == pytest.approx(ref, rel=1e-12)
+    assert bound <= report.objective
+    assert np.isnan(_dual_bound(terms, w, z, -r))
 
 
 def eigenvector_misfit(prob, W):
@@ -405,7 +478,7 @@ def test_polish_is_kept_and_ratio_is_the_barriers(noise_seed):
     meas, _ = repair_observability(model, mats, meas, "negate")
     prob = assemble_problem(mats, meas, anchors=[0])
     polished = solve(prob, SolverConfig(convergence_tol=1e-2))
-    barrier = solve(prob, SolverConfig(convergence_tol=1e-2, polish=False))
+    relaxed = solve(prob, SolverConfig(convergence_tol=1e-2, polish=False))
     assert polished.polished_X is not None
     np.testing.assert_array_equal(
         polished.W, np.outer(polished.polished_X, polished.polished_X)
@@ -413,14 +486,21 @@ def test_polish_is_kept_and_ratio_is_the_barriers(noise_seed):
     _, rn = compute_residuals(prob, polished.W)
     misfit = float(np.sum(rn * rn))
     assert misfit == pytest.approx(polished.objective, rel=1e-9)
-    assert misfit <= eigenvector_misfit(prob, barrier.W)
-    vals = np.linalg.eigvalsh(barrier.W)
+    assert misfit <= eigenvector_misfit(prob, relaxed.W)
+    vals = np.linalg.eigvalsh(relaxed.W)
     assert polished.rank1_ratio_raw == pytest.approx(vals[-2] / vals[-1], rel=1e-9)
+    # The dual bound is certified here and sits below the misfit of the
+    # relaxed W as well as the polished state's.
+    _, rn = compute_residuals(prob, relaxed.W)
+    assert relaxed.objective == pytest.approx(float(np.sum(rn * rn)), rel=1e-9)
+    assert polished.dual_bound == relaxed.dual_bound
+    assert relaxed.dual_bound <= relaxed.objective
+    assert polished.dual_bound <= polished.objective
 
 
 def test_polished_path_still_flags_rank_deficiency():
-    # Magnitudes alone leave every angle free, so the barrier lands far from
-    # rank one; a polished state must not hide that.
+    # Magnitudes alone leave every angle free, so the relaxed solution lands
+    # far from rank one; a polished state must not hide that.
     model = netgen.model_from(netgen.chain_doc(6, seed=0))
     mats = build_matrix_set(model)
     meas = [Measurement("Vmag", k, 1.0 + 0.01 * k, 0.01) for k in range(6)]
@@ -442,7 +522,8 @@ def test_solve_spd_matches_dense_solve():
     rng = np.random.default_rng(8)
     M = random_pd(7, 9)
     b = rng.normal(size=7)
-    np.testing.assert_allclose(_solve_spd(M, b), np.linalg.solve(M, b), rtol=1e-12)
+    x = dpotrs(_factor_spd(M), b, lower=1)[0]
+    np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=1e-12)
 
 
 def test_solve_spd_regularizes_rank_deficient():
@@ -452,8 +533,9 @@ def test_solve_spd_regularizes_rank_deficient():
     M = np.outer(v, v)
     assert _chol(M) is None
     b = M @ np.array([0.5, -1.0, 2.0])
-    x = _solve_spd(M, b)
-    assert x is not None
+    F = _factor_spd(M)
+    assert F is not None
+    x = dpotrs(F, b, lower=1)[0]
     assert np.all(np.isfinite(x))
     np.testing.assert_allclose(M @ x, b, atol=1e-6)
 
@@ -461,7 +543,7 @@ def test_solve_spd_regularizes_rank_deficient():
 def test_indefinite_matrix_has_no_factor():
     M = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.2], [0.0, 0.2, 3.0]])
     assert _chol(M) is None
-    assert _solve_spd(M, np.ones(3)) is None
+    assert _factor_spd(M) is None
 
 
 @pytest.mark.parametrize("where", [(1, 1), (2, 0)], ids=["diagonal", "off-diagonal"])
@@ -469,7 +551,7 @@ def test_non_finite_matrix_has_no_factor(where):
     M = random_pd(4, 10)
     M[where] = M[where[::-1]] = np.nan
     assert _chol(M) is None
-    assert _solve_spd(M, np.ones(4)) is None
+    assert _factor_spd(M) is None
 
 
 def test_non_pd_initial_w_falls_back_to_identity():
