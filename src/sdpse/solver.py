@@ -8,7 +8,10 @@ with w_i = 1/sigma_i^2, A(W)_i = Tr(A_i W) and W on the anchored subspace
 (anchored rows/columns eliminated).  The iterate is (W, S, r): S is the dual
 slack and the multiplier lambda = 2 w o r is implied by r, so its
 stationarity residual is exactly zero.  The residuals left are the primal
-``Rp = z - r - A(W)`` and the dual ``Rd = S + A^*(2 w o r)``.
+``Rp = z - r - A(W)`` and the dual ``Rd = S + A^*(2 w o r)``.  Unless
+warm-started, the solve starts in per unit at W = 0.1 I, a tenth of the
+|V|^2 on the diagonal of a rank-one solution, with S = (f(W)/tr W) I and r
+primal feasible.
 
 Each iteration takes the Nesterov-Todd direction (Todd, Toh & Tutuncu, SIAM
 J. Optim. 8, 1998) with Mehrotra's predictor-corrector (SIAM J. Optim. 2,
@@ -83,6 +86,12 @@ class SolverConfig:
             raise ValidationError("max_iterations must be >= 1")
         if not (self.convergence_tol > 0):
             raise ValidationError("convergence_tol must be positive")
+        if not isinstance(self.initial_W, np.ndarray) and (
+            self.initial_W != "identity_scaled"
+        ):
+            raise ValidationError(
+                "initial_W must be 'identity_scaled' or a numpy array"
+            )
 
 
 @dataclass
@@ -340,21 +349,22 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
         res = z - terms.values(Wm)
         return float(np.dot(w, res * res))
 
+    # The per-unit start: diag W = |V|^2 is about 1 at the optimum, whatever
+    # the readings weigh, and 0.1 I sits inside the cone on that scale
+    # without fitting any of them.  It must stay full rank: a start near
+    # rank one steers the solve to a near rank-one W even where the readings
+    # leave the state free, and lambda2/lambda1 of the relaxed W is the flag
+    # that reports such a state as unrecoverable.
+    W = 0.1 * np.eye(d)
     if isinstance(config.initial_W, np.ndarray):
-        W = np.array(config.initial_W[np.ix_(keep, keep)], dtype=float)
-        if _chol(W + 1e-12 * np.eye(d)) is None:
-            W = np.eye(d)
-        else:
-            W = W + 1e-8 * np.eye(d)
-    else:
-        # Ten times the best multiple of the identity in the least-squares
-        # sense: the objective is quadratic in the scale, so the minimizer is
-        # closed form.  This matters when measurement weights are large; a
-        # plain identity start can sit many orders of magnitude off.
-        a = terms.values(np.eye(d))
-        denom = float(np.dot(w * a, a))
-        alpha = float(np.dot(w * z, a)) / denom if denom > 0 else 1.0
-        W = 10.0 * max(alpha, 1e-6) * np.eye(d)
+        if config.initial_W.shape != (dim, dim):
+            raise ValidationError(
+                f"initial_W must have shape ({dim}, {dim}), "
+                f"got {config.initial_W.shape}"
+            )
+        W0 = np.array(config.initial_W[np.ix_(keep, keep)], dtype=float)
+        if _chol(W0 + 1e-12 * np.eye(d)) is not None:
+            W = W0 + 1e-8 * np.eye(d)
     # A centered start: S a multiple of I with <W, S> = f(W), and r primal
     # feasible.
     S = (objective(W) / np.trace(W)) * np.eye(d)

@@ -466,17 +466,23 @@ def eigenvector_misfit(prob, W):
     return float(np.sum(rn * rn))
 
 
-@pytest.mark.parametrize("noise_seed", range(5))
-def test_polish_is_kept_and_ratio_is_the_barriers(noise_seed):
+def radial_problem(truth_seed, level, noise_seed, vmag_nodes=None):
+    """The 34-bus radial feeder of the c05 study: one-sided plan, negate
+    repair."""
     model = netgen.model_from(netgen.tree_doc(34, seed=7, trunk_bias=3))
     mats = build_matrix_set(model)
-    V = netgen.random_state(model, seed=2)
+    V = netgen.random_state(model, seed=truth_seed)
     meas = synthesize(
-        model, mats, state_to_X(V), default_plan(model, mats),
-        NoiseSpec(level=2, seed=noise_seed),
+        model, mats, state_to_X(V), default_plan(model, mats, vmag_nodes),
+        NoiseSpec(level=level, seed=noise_seed),
     )
     meas, _ = repair_observability(model, mats, meas, "negate")
-    prob = assemble_problem(mats, meas, anchors=[0])
+    return assemble_problem(mats, meas, anchors=[0])
+
+
+@pytest.mark.parametrize("noise_seed", range(5))
+def test_polish_is_kept_and_ratio_is_the_barriers(noise_seed):
+    prob = radial_problem(2, 2, noise_seed)
     polished = solve(prob, SolverConfig(convergence_tol=1e-2))
     relaxed = solve(prob, SolverConfig(convergence_tol=1e-2, polish=False))
     assert polished.polished_X is not None
@@ -508,6 +514,67 @@ def test_polished_path_still_flags_rank_deficiency():
     assert solve(prob).polished_X is not None
     with pytest.raises(RankRecoveryError, match="exceeds"):
         solve_to_state(prob)
+
+
+@pytest.mark.parametrize("scale", [0.01, 0.1, 1.0, 10.0])
+def test_rank_deficiency_flag_does_not_depend_on_start_scale(scale):
+    # The same magnitudes-only chain started at scale * I: lambda2/lambda1 of
+    # the relaxed W is 0.55 from every such start.  That is why the default
+    # start is a multiple of I and not a rank-one flat state: a start near
+    # rank one leads the solve to a near rank-one W here, and the flag is
+    # lost.
+    model = netgen.model_from(netgen.chain_doc(6, seed=0))
+    mats = build_matrix_set(model)
+    meas = [Measurement("Vmag", k, 1.0 + 0.01 * k, 0.01) for k in range(6)]
+    prob = assemble_problem(mats, meas, anchors=[0])
+    config = SolverConfig(initial_W=scale * np.eye(prob.dim))
+    with pytest.raises(RankRecoveryError, match="exceeds"):
+        solve_to_state(prob, config)
+
+
+@pytest.mark.parametrize("noise_seed", range(3))
+@pytest.mark.parametrize("level", [0, 2, 4])
+def test_loose_tolerance_solve_certifies_a_dual_bound(level, noise_seed):
+    # At L0 and L4 the least-squares start left no dual-feasible iterate
+    # with -A^*(lambda) positive definite, so the bound was NaN.
+    prob = radial_problem(2, level, noise_seed)
+    report = solve(prob, SolverConfig(convergence_tol=1e-2, polish=False))
+    assert report.status == "converged"
+    assert np.isfinite(report.dual_bound)
+    assert report.dual_bound <= report.objective
+
+
+@pytest.mark.parametrize("noise_seed", range(6))
+def test_radial_solve_iteration_budget(noise_seed):
+    # From the per-unit start these take 19-20 iterations; the least-squares
+    # multiple of I, pushed small by the weighted flow readings, took 36-38.
+    vmag_nodes = [int(k) for k in np.linspace(0, 32, 5)]
+    prob = radial_problem(100, 2, noise_seed, vmag_nodes)
+    report = solve(prob, SolverConfig(convergence_tol=1e-2))
+    assert report.status == "converged"
+    assert report.iterations <= 25
+
+
+@pytest.mark.parametrize(
+    "make_W0",
+    [
+        lambda dim: np.eye(3),
+        lambda dim: np.eye(dim)[:, :5],
+        lambda dim: np.ones(dim),
+        lambda dim: np.eye(dim + 1),
+    ],
+    ids=["too-small", "not-square", "vector", "too-large"],
+)
+def test_wrong_shape_initial_w_rejected(make_W0):
+    model, mats, V, prob, _ = solve_chain()
+    with pytest.raises(ValidationError, match="initial_W must have shape"):
+        solve(prob, SolverConfig(initial_W=make_W0(prob.dim)))
+
+
+@pytest.mark.parametrize("initial_W", ["no-such-start", [[1.0]]], ids=["string", "list"])
+def test_unknown_initial_w_rejected(initial_W):
+    with pytest.raises(ValidationError, match="initial_W must be"):
+        SolverConfig(initial_W=initial_W)
 
 
 @pytest.mark.parametrize("where", [(1, 1), (2, 0)], ids=["diagonal", "off-diagonal"])
@@ -564,11 +631,12 @@ def test_non_pd_initial_w_falls_back_to_identity():
         solve(prob, SolverConfig(initial_W=W0))
         for W0 in (-np.eye(dim), indefinite, with_nan)
     ]
-    # All three start from the identity, so they take the same path.
+    # All three fall back to the default start, 0.1 I, so they take its path.
+    default = solve(prob)
     for report in reports:
         assert report.status == "converged"
-        assert report.iterations == reports[0].iterations
-        np.testing.assert_array_equal(report.W, reports[0].W)
+        assert report.iterations == default.iterations
+        np.testing.assert_array_equal(report.W, default.W)
     X, _ = extract_state(reports[0].W, prob.anchors)
     n = model.n_nodes
     V_est = X[:n] + 1j * X[n:]
