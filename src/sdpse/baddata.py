@@ -26,8 +26,7 @@ import numpy as np
 from .errors import BudgetExceededError, SolverError, ValidationError
 from .measurements import Measurement, state_to_X
 from .network import NetworkModel
-from .pipeline import EstimationResult, estimate
-from .problem import lifted_readings
+from .problem import EstimationResult, estimate, lifted_readings
 from .sdpmat import MeasurementMatrixSet
 from .solver import SolverConfig
 

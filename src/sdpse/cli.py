@@ -221,14 +221,14 @@ def _write_estimate_artifacts(outdir, model, result, truth=None):
         "repair_log": result.repair_log,
         "sub_networks": [
             {
-                "sub": s.sub,
-                "n_nodes": s.n_nodes,
+                "sub": k,
+                "n_nodes": len(s.V),
                 "objective": s.objective,
                 "iterations": s.iterations,
                 "status": s.status,
                 "rank1_ratio": s.rank1_ratio,
             }
-            for s in result.sub_reports
+            for k, s in enumerate(result.sub_reports)
         ],
     }
     _write_json(os.path.join(outdir, "report.json"), report)

@@ -5,16 +5,16 @@ Every graph question here is a ``scipy.sparse.csgraph`` call on the model's
 bus graph.  Separation works on the bus-level spanning tree rooted at the
 feeder head: the subtree whose size best matches the target is carved off
 repeatedly, and the leftover fragment around the root becomes the final
-sub-network.  Each sub-network is estimated independently with its anchor
-node's angle fixed to zero, then rotated by the anchor's reference angle and
-merged.
+sub-network.  Each sub-network is estimated by ``estimate``, as a whole
+network would be, with its anchor node's angle fixed to zero, then rotated
+by the anchor's reference angle and merged.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -24,11 +24,10 @@ from scipy.sparse.csgraph import (
     depth_first_order,
 )
 
-from .errors import SolverError, ValidationError
-from .measurements import Measurement, X_to_state, repair_observability
+from .errors import SdpseError, ValidationError
+from .measurements import Measurement
 from .network import NetworkModel, edge_graph, restrict
-from .problem import assemble_problem, solve_to_state
-from .sdpmat import build_matrix_set
+from .problem import EstimationResult, estimate
 from .solver import SolverConfig
 
 @dataclass
@@ -295,29 +294,20 @@ def validate_plan(model: NetworkModel, plan: PartitionPlan) -> None:
         model.node_of(a.bus, a.phase)
 
 
-@dataclass
-class SubReport:
-    sub: int
-    n_nodes: int
-    objective: float
-    iterations: int
-    status: str
-    rank1_ratio: float
-
-
 def estimate_decoupled(
     model: NetworkModel,
     measurements: Sequence[Measurement],
     plan: PartitionPlan,
     config: Optional[SolverConfig] = None,
     repair_method: Optional[str] = "negate",
-) -> Tuple[np.ndarray, List[SubReport]]:
-    """Solve each sub-network independently and merge.
+) -> Tuple[np.ndarray, List[EstimationResult]]:
+    """Estimate each sub-network with ``estimate`` and merge.
 
-    Returns the merged complex node voltages (full network indexing) and one
-    report per sub-network.  Tie-line flow measurements are dropped under the
-    'ignore' policy; under 'update' they are folded into the boundary node's
-    injection reading (with summed variance) when one exists.
+    Returns the merged complex node voltages (full network indexing) and the
+    sub-networks' own results, in plan order.  Tie-line flow measurements are
+    dropped under the 'ignore' policy; under 'update' they are folded into the
+    boundary node's injection reading (with summed variance) when one exists.
+    An error in sub-network k is re-raised with a "sub-network k:" prefix.
     """
     validate_plan(model, plan)
     if not plan.anchors:
@@ -337,39 +327,25 @@ def estimate_decoupled(
             raise ValidationError(f"sub-network {k} has no anchor")
 
     V = np.zeros(model.n_nodes, dtype=complex)
-    reports: List[SubReport] = []
+    results: List[EstimationResult] = []
     for k, sub in enumerate(plan.sub_networks):
         head = anchors_by_sub[k][0].bus
         submodel, node_map = restrict(model, sub, head=head)
         sub_meas = _restrict_measurements(
             model, measurements, set(sub), node_map, plan.policy
         )
-        mats = build_matrix_set(submodel)
-        if repair_method is not None:
-            sub_meas, _ = repair_observability(submodel, mats, sub_meas, repair_method)
         anchor_nodes = [
             submodel.node_of(a.bus, a.phase) for a in anchors_by_sub[k]
         ]
         try:
-            prob = assemble_problem(mats, sub_meas, anchor_nodes)
-            report, X, ratio = solve_to_state(prob, config)
-        except (ValidationError, SolverError) as exc:
+            res = estimate(submodel, sub_meas, anchor_nodes, config, repair_method)
+        except SdpseError as exc:
             raise type(exc)(f"sub-network {k}: {exc}")
-        V_sub = X_to_state(X)
         shift = np.exp(1j * np.radians(anchors_by_sub[k][0].ref_angle_deg))
         for old, new in node_map.items():
-            V[old] = V_sub[new] * shift
-        reports.append(
-            SubReport(
-                sub=k,
-                n_nodes=submodel.n_nodes,
-                objective=report.objective,
-                iterations=report.iterations,
-                status=report.status,
-                rank1_ratio=ratio,
-            )
-        )
-    return V, reports
+            V[old] = res.V[new] * shift
+        results.append(res)
+    return V, results
 
 
 def _restrict_measurements(
@@ -379,8 +355,6 @@ def _restrict_measurements(
     node_map: Dict[int, int],
     policy: str,
 ) -> List[Measurement]:
-    from dataclasses import replace
-
     kept: List[Measurement] = []
     # (kind, local node) -> position in kept, for boundary-injection updates.
     inj_pos: Dict[Tuple[str, int], int] = {}

@@ -1,4 +1,5 @@
-"""Assembly and post-processing of the relaxed estimation problem.
+"""The relaxed estimation problem: assembly, solve to a state, residuals, and
+``estimate``, the one path from readings to a state.
 
 The estimation problem is: minimize the weighted sum of squared residuals
 (z_i - Tr(A_i W))^2 / sigma_i^2 over PSD matrices W, with the angle reference
@@ -10,14 +11,16 @@ pins that node's angle to zero exactly).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import RankRecoveryError, SolverError, ValidationError
-from .measurements import Measurement
-from .sdpmat import MeasurementMatrixSet
+from .errors import RankRecoveryError, SolverError, UnobservableError, ValidationError
+from .measurements import Measurement, X_to_state, repair_observability
+from .network import NetworkModel
+from .observability import analyze
+from .sdpmat import MeasurementMatrixSet, build_matrix_set
 from .solver import SolveReport, SolverConfig, solve
 
 RANK1_SILENT = 1e-4
@@ -107,19 +110,18 @@ def compute_residuals(
 def solve_to_state(
     problem: SdpProblem, config: Optional[SolverConfig] = None
 ) -> Tuple[SolveReport, np.ndarray, float]:
-    """Solve and return the report, the lifted state X and its rank-1 ratio.
+    """Solve and return the report, the polished rank-one state X and the
+    rank-1 ratio.
 
-    The polished rank-one point is used when the solver returns one, with the
-    sign fixed so the first anchor's real part is non-negative; otherwise the
-    state is extracted from W.  Either way the ratio is lambda2/lambda1 of the
-    relaxed solution and is checked as ``extract_state`` checks it.
+    X has its sign fixed so the first anchor's real part is non-negative.
+    The ratio is lambda2/lambda1 of the relaxed solution and is checked as
+    ``extract_state`` checks it.
     """
     report = solve(problem, config)
     if report.status == "numerical_failure":
         raise SolverError("solver failed to produce a PSD iterate")
     if report.polished_X is None:
-        X, ratio = extract_state(report.W, problem.anchors)
-        return report, X, ratio
+        raise SolverError("degenerate lifted state: leading eigenvalue <= 0")
     X = report.polished_X
     if X[problem.anchors[0]] < 0:
         X = -X
@@ -127,14 +129,12 @@ def solve_to_state(
     return report, X, report.rank1_ratio_raw
 
 
-def extract_state(
-    W: np.ndarray, anchors: Sequence[int], raise_on_bad: bool = True
-) -> Tuple[np.ndarray, float]:
+def extract_state(W: np.ndarray, anchors: Sequence[int]) -> Tuple[np.ndarray, float]:
     """Best rank-one factor of W and the quality ratio lambda2/lambda1.
 
     The global sign is fixed so the first anchor node's real part is
     positive.  A large ratio means the relaxation did not land near a
-    physical state; by default that raises instead of returning garbage.
+    physical state; that raises instead of returning garbage.
     """
     W = np.asarray(W, dtype=float)
     vals, vecs = np.linalg.eigh(W)
@@ -149,13 +149,13 @@ def extract_state(
         pivot = int(np.argmax(np.abs(X)))
     if X[pivot] < 0:
         X = -X
-    _check_rank1(ratio, raise_on_bad)
+    _check_rank1(ratio)
     return X, float(ratio)
 
 
-def _check_rank1(ratio: float, raise_on_bad: bool = True) -> None:
-    """Raise above RANK1_ERROR (unless told not to), warn above RANK1_SILENT."""
-    if ratio > RANK1_ERROR and raise_on_bad:
+def _check_rank1(ratio: float) -> None:
+    """Raise above RANK1_ERROR, warn above RANK1_SILENT."""
+    if ratio > RANK1_ERROR:
         raise RankRecoveryError(
             f"rank-1 quality ratio {ratio:.3g} exceeds {RANK1_ERROR}; "
             "the measurement set likely leaves the state undetermined"
@@ -166,3 +166,69 @@ def _check_rank1(ratio: float, raise_on_bad: bool = True) -> None:
             "treat the extracted state with caution",
             stacklevel=3,
         )
+
+
+@dataclass
+class EstimationResult:
+    V: np.ndarray  # complex node voltages
+    rank1_ratio: float
+    objective: float
+    iterations: int
+    status: str
+    residuals: Optional[np.ndarray] = None
+    normalized_residuals: Optional[np.ndarray] = None
+    measurements: List[Measurement] = field(default_factory=list)
+    repair_log: List[dict] = field(default_factory=list)
+    # A decoupled estimate's per-sub-network results, in plan order.
+    sub_reports: List["EstimationResult"] = field(default_factory=list)
+
+
+def estimate(
+    model: NetworkModel,
+    measurements: Sequence[Measurement],
+    anchors: Sequence[int],
+    config: Optional[SolverConfig] = None,
+    repair_method: Optional[str] = "negate",
+    mats: Optional[MeasurementMatrixSet] = None,
+) -> EstimationResult:
+    """Estimate the state of one network: observability gate, optional
+    repair, solve to a state, residuals.
+
+    With ``repair_method`` set, one-sided branch flows get their far-end
+    pseudo-measurement before solving.  With it disabled, any observability
+    gap is a hard error: a solve would return a low-quality state whose
+    extraction is meaningless.
+    """
+    if mats is None:
+        mats = build_matrix_set(model)
+    report_obs = analyze(model, mats, measurements)
+    repair_log: List[dict] = []
+    meas = list(measurements)
+    if report_obs.verdict == "unobservable":
+        raise UnobservableError(
+            "measurement set leaves nodes uncovered: "
+            f"{report_obs.uncovered_nodes[:5]}"
+        )
+    if report_obs.verdict == "repairable":
+        if repair_method is None:
+            raise UnobservableError(
+                "one-sided flow measurements make the problem unobservable "
+                f"({len(report_obs.unobservable_branches)} branch(es)); "
+                "enable observability repair or supply far-end readings"
+            )
+        meas, repair_log = repair_observability(model, mats, meas, repair_method)
+
+    problem = assemble_problem(mats, meas, anchors)
+    report, X, ratio = solve_to_state(problem, config)
+    r, rn = compute_residuals(problem, np.outer(X, X))
+    return EstimationResult(
+        V=X_to_state(X),
+        rank1_ratio=ratio,
+        objective=report.objective,
+        iterations=report.iterations,
+        status=report.status,
+        residuals=r,
+        normalized_residuals=rn,
+        measurements=meas,
+        repair_log=repair_log,
+    )

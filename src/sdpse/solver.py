@@ -53,16 +53,18 @@ A rank-one Gauss-Newton refinement runs afterwards: the leading eigenvector
 x_e of the interior-point solution seeds a Levenberg-Marquardt descent on
 the unlifted state, which tightens consistent problems down to machine
 precision.  LM only accepts descending steps, so the refined state's misfit
-is at most that of x_e x_e^T, and it is always returned.  The relaxed
-objective is no yardstick for it: it is a lower bound on every rank-one
-misfit.  How far the interior-point solution is from rank one is reported
-all the same, as the ratio lambda2/lambda1 of its two leading eigenvalues.
+is at most that of x_e x_e^T, and it is always returned as the state; the
+report's W stays the relaxed interior-point solution.  The relaxed
+objective is no yardstick for the state: it is a lower bound on every
+rank-one misfit.  How far the interior-point solution is from rank one is
+reported all the same, as the ratio lambda2/lambda1 of its two leading
+eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,33 +80,28 @@ if TYPE_CHECKING:
 class SolverConfig:
     max_iterations: int = 200
     convergence_tol: float = 1e-9
-    initial_W: Union[str, np.ndarray] = "identity_scaled"
-    polish: bool = True
+    initial_W: Optional[np.ndarray] = None  # None: the per-unit start 0.1 I
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
         if not (self.convergence_tol > 0):
             raise ValidationError("convergence_tol must be positive")
-        if not isinstance(self.initial_W, np.ndarray) and (
-            self.initial_W != "identity_scaled"
-        ):
-            raise ValidationError(
-                "initial_W must be 'identity_scaled' or a numpy array"
-            )
+        if self.initial_W is not None and not isinstance(self.initial_W, np.ndarray):
+            raise ValidationError("initial_W must be None or a numpy array")
 
 
 @dataclass
 class SolveReport:
-    W: np.ndarray  # X X^T of polished_X when polished, else the relaxed solution
-    objective: float  # weighted misfit of the returned W
+    W: np.ndarray  # the relaxed interior-point solution
+    objective: float  # weighted misfit of polished_X, or of W when it is None
     iterations: int  # interior-point iterations taken
     status: str  # converged | max_iter | numerical_failure
-    # The refined rank-one state; None when the polish is off, the solve
-    # failed or its solution has no positive eigenvalue.
+    # The refined rank-one state; None when the solve failed or W has no
+    # positive eigenvalue.
     polished_X: Optional[np.ndarray] = None
-    # lambda2/lambda1 of the relaxed solution, polished or not; NaN when that
-    # has no positive eigenvalue or the solve failed.
+    # lambda2/lambda1 of W; NaN when W has no positive eigenvalue or the
+    # solve failed.
     rank1_ratio_raw: float = float("nan")
     # Lower bound on the relaxed objective, and so on every rank-one misfit:
     # the best over the dual-feasible iterates whose -A^*(lambda) has a
@@ -356,7 +353,7 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
     # leave the state free, and lambda2/lambda1 of the relaxed W is the flag
     # that reports such a state as unrecoverable.
     W = 0.1 * np.eye(d)
-    if isinstance(config.initial_W, np.ndarray):
+    if config.initial_W is not None:
         if config.initial_W.shape != (dim, dim):
             raise ValidationError(
                 f"initial_W must have shape ({dim}, {dim}), "
@@ -432,9 +429,7 @@ def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveRe
         lam1 = vals[-1]
         if lam1 > 0:
             ratio_raw = (max(vals[-2], 0.0) if d > 1 else 0.0) / lam1
-            if config.polish:
-                polished_X, obj_out = _polish(terms, z, w, np.sqrt(lam1) * vecs[:, -1])
-                W = np.outer(polished_X, polished_X)
+            polished_X, obj_out = _polish(terms, z, w, np.sqrt(lam1) * vecs[:, -1])
 
     W_full = np.zeros((dim, dim))
     W_full[np.ix_(keep, keep)] = W

@@ -227,7 +227,8 @@ def radial_study():
                 else SolverConfig(convergence_tol=1e-2, initial_W=W_prev)
             )
             res = estimate(model, meas, anchors=[0], config=cfg, mats=mats)
-            W_prev = res.W + 1e-6 * np.eye(2 * model.n_nodes)
+            X_prev = state_to_X(res.V)
+            W_prev = np.outer(X_prev, X_prev) + 1e-6 * np.eye(2 * model.n_nodes)
             mono[level].append(compute_error_stats(res.V, V).vmag_rms)
             if level in (3, 4):
                 Vd, _ = estimate_decoupled(

@@ -4,9 +4,12 @@ import pytest
 from click.testing import CliRunner
 
 import netgen
+from test_partition import one_sided_chain_plan
+
 from sdpse.cli import main
-from sdpse.measurements import save_state
+from sdpse.measurements import save_measurements, save_state
 from sdpse.network import parse_network
+from sdpse.partition import save_plan
 
 
 @pytest.fixture(scope="module")
@@ -332,3 +335,18 @@ def test_estimate_malformed_plan_or_anchors_exits_2(
     res = run_cli(args + ["--anchors", str(anchors)])
     assert res.exit_code == 2
     assert message in res.output
+
+
+def test_estimate_no_repair_with_plan_exits_3(tmp_path):
+    model, V, meas, plan = one_sided_chain_plan()
+    net = tmp_path / "network.json"
+    net.write_text(json.dumps(netgen.chain_doc(12)))
+    save_measurements(str(tmp_path / "measurements.json"), model, meas)
+    save_plan(str(tmp_path / "plan.json"), plan)
+    args = ["estimate", "--network", str(net),
+            "--measurements", str(tmp_path / "measurements.json"),
+            "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path / "est")]
+    res = CliRunner().invoke(main, args + ["--no-repair"])
+    assert res.exit_code == 3, res.output
+    assert "sub-network 0:" in res.output
+    assert run_cli(args).exit_code == 0

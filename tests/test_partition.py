@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import netgen
-from sdpse.errors import ValidationError
+from sdpse.errors import UnobservableError, ValidationError
 from sdpse.measurements import (
     Measurement,
     NoiseSpec,
@@ -166,6 +166,37 @@ def test_decoupled_matches_monolithic_at_zero_noise():
     assert np.max(np.abs(np.abs(mono.V) - np.abs(V))) < 1e-5
     ang = np.degrees(np.angle(V_dec * np.conj(V)))
     assert np.max(np.abs(ang)) < 1e-3
+
+
+def one_sided_chain_plan():
+    """A 12-bus chain with a magnitude reading at every bus but one-sided
+    flows, split into three sub-networks of 4 buses, each anchored at its
+    first bus at the true angle.  Decoupled estimation without repair solved
+    each sub-network anyway (all three converged), though observability
+    analysis finds one-sided branches in every one."""
+    model = netgen.model_from(netgen.chain_doc(12))
+    mats = build_matrix_set(model)
+    V = netgen.random_state(model, seed=1)
+    entries = default_plan(model, mats, vmag_nodes=list(range(model.n_nodes)))
+    meas = synthesize(model, mats, state_to_X(V), entries, NoiseSpec(level=0, seed=0))
+    plan = separate(model, detect_topology(model), 4)
+    plan.anchors = [
+        Anchor(sub=k, bus=sub[0], phase="A",
+               ref_angle_deg=float(np.degrees(np.angle(V[model.node_of(sub[0], "A")]))))
+        for k, sub in enumerate(plan.sub_networks)
+    ]
+    return model, V, meas, plan
+
+
+def test_decoupled_no_repair_turns_gaps_into_errors():
+    model, V, meas, plan = one_sided_chain_plan()
+    assert len(plan.sub_networks) == 3
+    with pytest.raises(UnobservableError, match="sub-network 0: one-sided flow"):
+        estimate_decoupled(model, meas, plan, repair_method=None)
+    # With repair each sub-network gets its far-end readings and is solved.
+    _, results = estimate_decoupled(model, meas, plan)
+    assert [r.status for r in results] == ["converged"] * 3
+    assert all(r.repair_log for r in results)
 
 
 def test_decoupled_requires_anchors():

@@ -43,24 +43,29 @@ def solve_chain(n=6, seed=0, plan_kind="full", config=None):
     return model, mats, V, prob, solve(prob, config)
 
 
+def polished_state(report, anchors):
+    """The report's polished state, signed as ``solve_to_state`` signs it:
+    the first anchor's real part non-negative."""
+    X = report.polished_X
+    return -X if X[anchors[0]] < 0 else X
+
+
 def test_zero_noise_recovery_full_set():
     model, mats, V, prob, report = solve_chain()
     assert report.status == "converged"
-    X, ratio = extract_state(report.W, prob.anchors)
+    X = polished_state(report, prob.anchors)
     n = model.n_nodes
     V_est = X[:n] + 1j * X[n:]
     assert np.max(np.abs(np.abs(V_est) - np.abs(V))) < 1e-7
     ang = np.degrees(np.angle(V_est * np.conj(V)))
     assert np.max(np.abs(ang)) < 1e-5
-    assert ratio < 1e-4
+    assert report.rank1_ratio_raw < 1e-4
     assert report.objective < 1e-10
 
 
 def test_anchor_angle_is_pinned():
     model, mats, V, prob, report = solve_chain(seed=3)
-    X = report.polished_X if report.polished_X is not None else extract_state(
-        report.W, prob.anchors
-    )[0]
+    X = report.polished_X
     n = model.n_nodes
     # The imaginary part at the anchor node is exactly eliminated.
     assert abs(X[n + 0]) < 1e-12
@@ -69,7 +74,7 @@ def test_anchor_angle_is_pinned():
 
 def test_residuals_vanish_at_zero_noise():
     model, mats, V, prob, report = solve_chain(seed=5)
-    r, rn = compute_residuals(prob, report.W)
+    r, rn = compute_residuals(prob, np.outer(report.polished_X, report.polished_X))
     assert np.max(np.abs(rn)) < 1e-3
 
 
@@ -88,8 +93,8 @@ def test_uniform_weight_scaling_keeps_minimizer():
     ]
     prob2 = assemble_problem(mats, scaled, anchors=[0])
     report2 = solve(prob2)
-    X1, _ = extract_state(report.W, prob.anchors)
-    X2, _ = extract_state(report2.W, prob.anchors)
+    X1 = polished_state(report, prob.anchors)
+    X2 = polished_state(report2, prob.anchors)
     assert np.allclose(X1, X2, atol=1e-5)
 
 
@@ -102,9 +107,9 @@ def test_single_node_network():
     report = solve(prob)
     assert report.W[0, 0] == pytest.approx(1.02**2, rel=1e-6)
     assert abs(report.W[1, 1]) < 1e-12
-    X, ratio = extract_state(report.W, [0])
+    X = polished_state(report, [0])
     assert X[0] == pytest.approx(1.02, rel=1e-6)
-    assert ratio < 1e-10
+    assert report.rank1_ratio_raw < 1e-10
 
 
 def test_empty_measurements_rejected():
@@ -143,10 +148,10 @@ def test_missing_anchor_rejected():
 def test_extract_state_flags_rank_deficiency():
     # A balanced rank-two W admits no trustworthy rank-one factor.
     W = np.diag([1.0, 0.9, 0.0, 0.0])
-    with pytest.raises(RankRecoveryError):
+    with pytest.raises(RankRecoveryError, match=r"ratio 0\.9 exceeds"):
         extract_state(W, [0])
-    X, ratio = extract_state(W, [0], raise_on_bad=False)
-    assert ratio == pytest.approx(0.9)
+    vals = np.linalg.eigvalsh(W)
+    assert vals[-2] / vals[-1] == pytest.approx(0.9)
 
 
 def test_extract_state_sign_convention():
@@ -483,25 +488,22 @@ def radial_problem(truth_seed, level, noise_seed, vmag_nodes=None):
 @pytest.mark.parametrize("noise_seed", range(5))
 def test_polish_is_kept_and_ratio_is_the_barriers(noise_seed):
     prob = radial_problem(2, 2, noise_seed)
-    polished = solve(prob, SolverConfig(convergence_tol=1e-2))
-    relaxed = solve(prob, SolverConfig(convergence_tol=1e-2, polish=False))
-    assert polished.polished_X is not None
-    np.testing.assert_array_equal(
-        polished.W, np.outer(polished.polished_X, polished.polished_X)
-    )
-    _, rn = compute_residuals(prob, polished.W)
+    report = solve(prob, SolverConfig(convergence_tol=1e-2))
+    assert report.polished_X is not None
+    X = report.polished_X
+    _, rn = compute_residuals(prob, np.outer(X, X))
     misfit = float(np.sum(rn * rn))
-    assert misfit == pytest.approx(polished.objective, rel=1e-9)
-    assert misfit <= eigenvector_misfit(prob, relaxed.W)
-    vals = np.linalg.eigvalsh(relaxed.W)
-    assert polished.rank1_ratio_raw == pytest.approx(vals[-2] / vals[-1], rel=1e-9)
+    assert misfit == pytest.approx(report.objective, rel=1e-9)
+    # report.W is the relaxed solution: the polish seeded from its leading
+    # eigenvector fits no worse, and its ratio is the one reported.
+    assert misfit <= eigenvector_misfit(prob, report.W)
+    vals = np.linalg.eigvalsh(report.W)
+    assert report.rank1_ratio_raw == pytest.approx(vals[-2] / vals[-1], rel=1e-9)
     # The dual bound is certified here and sits below the misfit of the
     # relaxed W as well as the polished state's.
-    _, rn = compute_residuals(prob, relaxed.W)
-    assert relaxed.objective == pytest.approx(float(np.sum(rn * rn)), rel=1e-9)
-    assert polished.dual_bound == relaxed.dual_bound
-    assert relaxed.dual_bound <= relaxed.objective
-    assert polished.dual_bound <= polished.objective
+    _, rn = compute_residuals(prob, report.W)
+    assert report.dual_bound <= float(np.sum(rn * rn))
+    assert report.dual_bound <= report.objective
 
 
 def test_polished_path_still_flags_rank_deficiency():
@@ -538,10 +540,11 @@ def test_loose_tolerance_solve_certifies_a_dual_bound(level, noise_seed):
     # At L0 and L4 the least-squares start left no dual-feasible iterate
     # with -A^*(lambda) positive definite, so the bound was NaN.
     prob = radial_problem(2, level, noise_seed)
-    report = solve(prob, SolverConfig(convergence_tol=1e-2, polish=False))
+    report = solve(prob, SolverConfig(convergence_tol=1e-2))
     assert report.status == "converged"
     assert np.isfinite(report.dual_bound)
-    assert report.dual_bound <= report.objective
+    _, rn = compute_residuals(prob, report.W)
+    assert report.dual_bound <= float(np.sum(rn * rn))
 
 
 @pytest.mark.parametrize("noise_seed", range(6))
@@ -637,7 +640,7 @@ def test_non_pd_initial_w_falls_back_to_identity():
         assert report.status == "converged"
         assert report.iterations == default.iterations
         np.testing.assert_array_equal(report.W, default.W)
-    X, _ = extract_state(reports[0].W, prob.anchors)
+    X = polished_state(reports[0], prob.anchors)
     n = model.n_nodes
     V_est = X[:n] + 1j * X[n:]
     assert np.max(np.abs(np.abs(V_est) - np.abs(V))) < 1e-6
