@@ -13,6 +13,8 @@ from sdpse.measurements import (
     state_to_X,
     synthesize,
 )
+from sdpse.network import restrict
+from sdpse.partition import detect_topology, separate
 from sdpse.problem import (
     assemble_problem,
     compute_residuals,
@@ -21,12 +23,16 @@ from sdpse.problem import (
 )
 from sdpse.sdpmat import build_matrix_set
 from sdpse.solver import (
+    CLIQUE_MIN_DIM,
     SolverConfig,
     _chol,
+    _cone,
     _dual_bound,
     _eigs,
     _factor_spd,
+    _interior_point,
     _linearize,
+    _solve,
     _step_length,
     _Terms,
     solve,
@@ -663,3 +669,167 @@ def test_repeated_solve_is_deterministic():
     assert first.objective == second.objective
     assert first.iterations == second.iterations
     assert first.status == second.status
+
+
+def c05_problem(level, noise_seed):
+    """The 102-bus tree of the c05 study (truth seed 100, magnitudes at b0,
+    b25, b50, b75 and b100), one-sided plan without the tie flows, negate
+    repair."""
+    model = netgen.model_from(netgen.tree_doc(102, seed=7, trunk_bias=3))
+    mats = build_matrix_set(model)
+    V = netgen.random_state(model, seed=100)
+    vm = sorted({model.node_of(f"b{i}", "A") for i in (0, 25, 50, 75, 100)})
+    meas = synthesize(
+        model, mats, state_to_X(V), default_plan(model, mats, vm),
+        NoiseSpec(level=level, seed=noise_seed),
+    )
+    meas, _ = repair_observability(model, mats, meas, "negate")
+    return assemble_problem(mats, meas, anchors=[0])
+
+
+def anchored_problem(anchors):
+    """The 34-bus radial feeder with a zero-angle truth at every anchor, the
+    one-sided plan, negate repair, L2.  With anchors 0 and 1 (a branch) and
+    10 the clique cone has 2 x 2, 3 x 3 and 4 x 4 blocks and separators at
+    anchors."""
+    model = netgen.model_from(netgen.tree_doc(34, seed=7, trunk_bias=3))
+    mats = build_matrix_set(model)
+    V = netgen.random_state(model, seed=2)
+    V[anchors] = np.abs(V[anchors])
+    meas = synthesize(
+        model, mats, state_to_X(V), default_plan(model, mats),
+        NoiseSpec(level=2, seed=0),
+    )
+    meas, _ = repair_observability(model, mats, meas, "negate")
+    return assemble_problem(mats, meas, anchors=anchors)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: radial_problem(2, 2, 0),
+        lambda: c05_problem(2, 1),
+        lambda: anchored_problem([0, 1, 10]),
+    ],
+    ids=["tree34", "tree102", "tree34-3-anchors"],
+)
+def test_clique_cone_agrees_with_dense_cone(make, tol):
+    prob = make()
+    config = SolverConfig(convergence_tol=tol)
+    dense = _solve(prob, config, cliques=False)
+    clique = solve(prob, config)
+    assert (dense.blocks, clique.blocks) == (1, prob.dim // 2 - 1)
+    assert clique.status == dense.status == "converged"
+    np.testing.assert_allclose(
+        polished_state(clique, prob.anchors), polished_state(dense, prob.anchors),
+        rtol=0, atol=1e-9,
+    )
+    assert clique.objective == pytest.approx(dense.objective, rel=1e-9)
+    for report in (dense, clique):
+        assert report.dual_bound <= report.objective
+    # The report's W is the completion of the solved blocks: PSD, and its
+    # clique blocks are the solved ones.  Not to the bit: at tol 1e-9 the
+    # blocks are rank one to about 1e-10 and disagree on their separators
+    # by the overlap rows' residual (about 5e-9 on the 102-bus tree), so no
+    # PSD matrix has exactly these blocks; the completion moves them by up
+    # to about 5e-6 there, well inside sqrt(residual) = 7e-5.
+    keep, _, op = _cone(prob)
+    w = 1.0 / prob.sigma**2
+    blocks = _interior_point(op, w, prob.z, op.identity(0.1), tol, 200)[0]
+    X = clique.W[np.ix_(keep, keep)]
+    np.testing.assert_array_equal(X, op.complete(blocks))
+    vals = np.linalg.eigvalsh(X)
+    assert vals[0] >= -1e-9 * vals[-1]
+    scale = max(np.abs(B).max() for B in blocks.parts)
+    for got, solved in zip(op.restrict(X).parts, blocks.parts):
+        np.testing.assert_allclose(got, solved, rtol=0, atol=1e-4 * scale)
+
+
+def test_clique_rule_sides():
+    # Which cone each benchmark-shaped problem takes, so that a change to the
+    # rule cannot move a workload across it unnoticed.
+    loose = SolverConfig(convergence_tol=1e-2)
+    # mono-radial: the 34-bus tree, one block per branch.
+    assert solve(radial_problem(2, 2, 0), loose).blocks == 33
+    # partitioned-feeder: the largest sub-network of the 96-bus tree split
+    # into sub-networks of about 8 buses (9 buses, d = 17).
+    model = netgen.model_from(netgen.tree_doc(96, seed=7, trunk_bias=3))
+    largest = max(separate(model, detect_topology(model), 8).sub_networks, key=len)
+    assert len(largest) == 9
+    sub, _ = restrict(model, largest, head=largest[0])
+    mats = build_matrix_set(sub)
+    meas = synthesize(
+        sub, mats, state_to_X(netgen.random_state(sub, seed=1)),
+        full_plan(sub, mats), NoiseSpec(level=2, seed=0),
+    )
+    assert solve(assemble_problem(mats, meas, anchors=[0])).blocks == 1
+    # baddata-sweep: the 10-bus chain with the full plan (d = 19).
+    assert solve_chain(n=10)[4].blocks == 1
+    # cli-multiphase: coupled phases, not a tree.
+    model = netgen.model_from(multiphase_head_doc())
+    mats = build_matrix_set(model)
+    meas = synthesize(
+        model, mats, state_to_X(netgen.random_state(model, seed=2)),
+        full_plan(model, mats), NoiseSpec(level=2, seed=0),
+    )
+    assert solve(assemble_problem(mats, meas, anchors=[0])).blocks == 1
+
+
+def test_clique_rule_threshold():
+    # One anchor on an n-bus tree leaves d = 2 n - 1; the clique cone takes
+    # over at d >= CLIQUE_MIN_DIM, and never on a meshed network.
+    below, above = CLIQUE_MIN_DIM // 2, (CLIQUE_MIN_DIM + 2) // 2
+    for n, meshed, blocks in ((below, 0, 1), (above, 0, above - 1), (above, 2, 1)):
+        model = netgen.model_from(netgen.tree_doc(n, seed=5, meshed_extra=meshed))
+        mats = build_matrix_set(model)
+        meas = synthesize(
+            model, mats, state_to_X(netgen.random_state(model, seed=1)),
+            full_plan(model, mats), NoiseSpec(level=0, seed=0),
+        )
+        report = solve(assemble_problem(mats, meas, anchors=[0]))
+        assert report.status == "converged"
+        assert report.blocks == blocks
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+def test_clique_solve_ignores_labels_and_reading_order(tol):
+    # The clique tree is built breadth-first by node number; relabelling
+    # the buses and reordering the readings changes that order (and which
+    # child clique of the anchor comes first), not the state.
+    doc = netgen.tree_doc(34, seed=7, trunk_bias=3)
+    model = netgen.model_from(doc)
+    mats = build_matrix_set(model)
+    V = netgen.random_state(model, seed=2)
+    meas = synthesize(
+        model, mats, state_to_X(V), default_plan(model, mats),
+        NoiseSpec(level=2, seed=0),
+    )
+    meas, _ = repair_observability(model, mats, meas, "negate")
+    rng = np.random.default_rng(11)
+    order = rng.permutation(len(doc["buses"]))
+    model2 = netgen.model_from(dict(doc, buses=[doc["buses"][i] for i in order]))
+    new = np.array([model2.node_of(nd.bus, nd.phase) for nd in model.nodes])
+    assert not np.array_equal(new, np.arange(len(new)))
+    meas2 = [
+        Measurement(
+            kind=m.kind,
+            node=int(new[m.node]),
+            far_node=None if m.far_node is None else int(new[m.far_node]),
+            value=m.value,
+            sigma=m.sigma,
+            provenance=m.provenance,
+        )
+        for m in (meas[i] for i in rng.permutation(len(meas)))
+    ]
+    config = SolverConfig(convergence_tol=tol)
+    prob = assemble_problem(mats, meas, anchors=[0])
+    prob2 = assemble_problem(build_matrix_set(model2), meas2, anchors=[int(new[0])])
+    report, report2 = solve(prob, config), solve(prob2, config)
+    assert report.blocks == report2.blocks == 33
+    assert report.status == report2.status == "converged"
+    n = model.n_nodes
+    X = polished_state(report, prob.anchors)
+    X2 = polished_state(report2, prob2.anchors)
+    np.testing.assert_allclose(X2[np.concatenate([new, n + new])], X, rtol=0, atol=1e-9)
+    assert report2.objective == pytest.approx(report.objective, rel=1e-9)
