@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .network import NetworkModel
+from .network import NetworkModel, parse_number
 from .rand import normal_stream, subseed
 from .sdpmat import MeasurementMatrixSet, PairData
 
@@ -418,8 +418,10 @@ def measurements_from_doc(model: NetworkModel, doc: list) -> List[Measurement]:
                     kind=kind,
                     node=node,
                     far_node=far,
-                    value=float(rec["value"]),
-                    sigma=float(rec["sigma"]),
+                    # A non-finite reading loads: the bad-data prefilter
+                    # drops it and estimation rejects it.
+                    value=parse_number(rec["value"], f"measurement {i}: value", finite=False),
+                    sigma=parse_number(rec["sigma"], f"measurement {i}: sigma"),
                     provenance=rec.get("provenance", "real"),
                 )
             )
@@ -469,7 +471,9 @@ def state_from_doc(model: NetworkModel, doc: list) -> np.ndarray:
             raise ValidationError(f"state record {i}: unknown keys {sorted(extra)}")
         try:
             idx = model.node_of(str(rec["bus"]), rec.get("phase", "A"))
-            V[idx] = rec["mag_pu"] * np.exp(1j * np.radians(rec["angle_deg"]))
+            mag = parse_number(rec["mag_pu"], f"state record {i}: mag_pu")
+            angle = parse_number(rec["angle_deg"], f"state record {i}: angle_deg")
+            V[idx] = mag * np.exp(1j * np.radians(angle))
         except KeyError as exc:
             raise ValidationError(f"state record {i}: missing key {exc}")
     if np.any(np.isnan(V.real)):

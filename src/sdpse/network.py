@@ -11,6 +11,7 @@ entry), which keeps single-phase and multiphase handling identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -185,6 +186,19 @@ _ENDPOINT_KEYS = {"bus", "phase"}
 _TOP_KEYS = {"buses", "branches", "base_mva"}
 
 
+def parse_number(value, where: str, finite: bool = True) -> float:
+    """A number read from an input file as a float.  ValidationError naming
+    the record (``where``) when it is no number, or, with ``finite``, when
+    it is infinite or NaN."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where} must be a number, got {value!r}") from None
+    if finite and not math.isfinite(out):
+        raise ValidationError(f"{where} must be finite, got {value!r}")
+    return out
+
+
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
     extra = set(obj) - allowed
     if extra:
@@ -203,7 +217,7 @@ def parse_network(document: dict) -> NetworkModel:
     _reject_unknown(document, _TOP_KEYS, "network document")
     if "buses" not in document or "branches" not in document:
         raise ValidationError("network document needs 'buses' and 'branches'")
-    base_mva = float(document.get("base_mva", 1.0))
+    base_mva = parse_number(document.get("base_mva", 1.0), "network document: base_mva")
     if base_mva <= 0:
         raise ValidationError("base_mva must be positive")
 
@@ -220,12 +234,15 @@ def parse_network(document: dict) -> NetworkModel:
         phases = tuple(sorted(set(raw["phases"])))
         if not phases or any(p not in PHASES for p in phases):
             raise ValidationError(f"bus {bid!r}: phases must be a non-empty subset of A/B/C")
+        base_kv = parse_number(raw.get("base_kV", 1.0), f"bus {bid!r}: base_kV")
+        if base_kv <= 0:
+            raise ValidationError(f"bus {bid!r}: base_kV must be positive")
         buses.append(
             Bus(
                 id=bid,
                 phases=phases,
                 is_feeder_head=bool(raw.get("feeder_head", False)),
-                base_kV=float(raw.get("base_kV", 1.0)),
+                base_kV=base_kv,
             )
         )
 
@@ -267,9 +284,9 @@ def parse_network(document: dict) -> NetworkModel:
             raise ValidationError(f"branch {brid!r}: from and to are the same node")
         base_kv = bus_by_id[nodes[l].bus].base_kV
         z_base = base_kv * base_kv / base_mva
-        r = float(raw["r"]) / z_base
-        x = float(raw["x"]) / z_base
-        b_total = float(raw.get("shunt_b", 0.0)) * z_base
+        r = parse_number(raw["r"], f"branch {brid!r}: r") / z_base
+        x = parse_number(raw["x"], f"branch {brid!r}: x") / z_base
+        b_total = parse_number(raw.get("shunt_b", 0.0), f"branch {brid!r}: shunt_b") * z_base
         is_switch = bool(raw.get("is_switch", False))
         closed = bool(raw.get("closed", True))
         z = complex(r, x)

@@ -109,13 +109,12 @@ def compute_residuals(
 
 def solve_to_state(
     problem: SdpProblem, config: Optional[SolverConfig] = None
-) -> Tuple[SolveReport, np.ndarray, float]:
-    """Solve and return the report, the polished rank-one state X and the
-    rank-1 ratio.
+) -> Tuple[SolveReport, np.ndarray]:
+    """Solve and return the report and the polished rank-one state X.
 
     X has its sign fixed so the first anchor's real part is non-negative.
-    The ratio is lambda2/lambda1 of the relaxed solution and is checked as
-    ``extract_state`` checks it.
+    The report's ``rank1_ratio_raw`` is checked as ``extract_state`` checks
+    its ratio.
     """
     report = solve(problem, config)
     if report.status == "numerical_failure":
@@ -126,7 +125,7 @@ def solve_to_state(
     if X[problem.anchors[0]] < 0:
         X = -X
     _check_rank1(report.rank1_ratio_raw)
-    return report, X, report.rank1_ratio_raw
+    return report, X
 
 
 def extract_state(W: np.ndarray, anchors: Sequence[int]) -> Tuple[np.ndarray, float]:
@@ -219,11 +218,11 @@ def estimate(
         meas, repair_log = repair_observability(model, mats, meas, repair_method)
 
     problem = assemble_problem(mats, meas, anchors)
-    report, X, ratio = solve_to_state(problem, config)
+    report, X = solve_to_state(problem, config)
     r, rn = compute_residuals(problem, np.outer(X, X))
     return EstimationResult(
         V=X_to_state(X),
-        rank1_ratio=ratio,
+        rank1_ratio=report.rank1_ratio_raw,
         objective=report.objective,
         iterations=report.iterations,
         status=report.status,

@@ -48,29 +48,34 @@ shared.
   over the row-sorted term table, and the factor and solves call LAPACK's
   ``dpotrf``/``dpotrs`` directly, reading ``info``.
 * Clique (``_CliqueTerms``): when the node graph of the terms is a tree and
-  d is at least ``CLIQUE_MIN_DIM``, W PSD is replaced by one PSD block per
-  branch {parent(a), a}, on the kept re/im indices of its two nodes (4 x 4,
-  3 x 3 or 2 x 2 where anchors drop an imaginary index).  A tree is chordal
-  with the branches as its maximal cliques, so a W with these blocks PSD and
-  consistent has a PSD completion and the relaxation is unchanged (Grone,
-  Johnson, Sa & Wolkowicz, Linear Algebra Appl. 58, 1984; Fukuda, Kojima,
-  Murota & Nakata, SIAM J. Optim. 11, 2001).  Cliques are ordered
-  breadth-first from the first anchor; the anchor's other child cliques hang
-  on the first one.  Each term goes to the clique of its node pair.  On each
-  separator J (the parent node's indices) hard overlap rows set W_K[J, J] =
-  W_parent[J, J]: h more rows of the operator, with free multipliers y, no
-  reading variance in the Schur diagonal and the start's r extended by y =
-  0.  G (order m + h) sums vec(C_i)^T (What_K kron What_K) vec(C_j) over
-  the cliques K, NT scaling and the step to the boundary run on stacks of
-  equal-size blocks, and the dual bound needs a Cholesky factor of every
-  block of -A^*(lambda) - B^*(y).  The report's W is the max-determinant
-  completion of the blocks along the clique tree.
+  d is at least ``CLIQUE_MIN_DIM``, W PSD is replaced by one 4 x 4 PSD block
+  per branch {parent(a), a}, on the re/im slots of its two nodes, and W is
+  one (blocks, 4, 4) array.  A tree is chordal with the branches as its
+  maximal cliques, so a W with these blocks PSD and consistent has a PSD
+  completion and the relaxation is unchanged (Grone, Johnson, Sa &
+  Wolkowicz, Linear Algebra Appl. 58, 1984; Fukuda, Kojima, Murota &
+  Nakata, SIAM J. Optim. 11, 2001).  Cliques are ordered breadth-first from
+  the first anchor; the anchor's other child cliques hang on the first one.
+  Each term goes to the clique of its node pair.  An anchor's imaginary
+  index, eliminated on the dense cone, keeps its slot as a pad that no term
+  touches.  Hard rows B(W) = b join the operator, with free multipliers y,
+  no reading variance in the Schur diagonal and the start's r extended by y
+  = 0: on each separator J (the parent node's two slots) three overlap rows
+  set W_K[J, J] = W_parent[J, J] (b = 0), and one pin row per anchor sets
+  its pad's diagonal to the start's 0.1.  Flipping the sign of every pad
+  coordinate maps the problem onto itself, so the pads stay decoupled and
+  the solution on the kept indices is that of the relaxation.  G (order m +
+  h) sums vec(C_i)^T (What_K kron What_K) vec(C_j) over the cliques K, NT
+  scaling and the step to the boundary run on the stack of blocks, and the
+  dual bound needs a Cholesky factor of every block of -A^*(lambda) -
+  B^*(y).  The report's W is the max-determinant completion of the blocks
+  along the clique tree, without the pads.
 
 At an iterate whose dual residual meets the stopping rule, lambda = 2 w o r
-gives the dual bound ``lambda . z - sum_i lambda_i^2 / (4 w_i)`` whenever
-``-A^*(lambda)`` is PSD (checked by a Cholesky factorization): no W in the
-cone fits better, so it certifies how far the relaxed objective is from its
-optimum.  The best such bound is reported.
+gives the dual bound ``lambda . z - sum_i lambda_i^2 / (4 w_i) + y . b``
+whenever ``-A^*(lambda) - B^*(y)`` is PSD (checked by a Cholesky
+factorization): no W in the cone fits better, so it certifies how far the
+relaxed objective is from its optimum.  The best such bound is reported.
 
 A rank-one Gauss-Newton refinement runs afterwards: the leading eigenvector
 x_e of the interior-point solution seeds a Levenberg-Marquardt descent on
@@ -86,7 +91,6 @@ eigenvalues.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -104,6 +108,10 @@ if TYPE_CHECKING:
 # The clique cone is used on tree-shaped problems of reduced dimension d at
 # least this; below it the dense cone is faster (measured: _branch_cliques).
 CLIQUE_MIN_DIM = 39
+
+# The per-unit start's diagonal; the clique cone pins its pads to it, so
+# that the start meets the pins.
+_W0 = 0.1
 
 
 @dataclass
@@ -144,66 +152,39 @@ class SolveReport:
     blocks: int = 1
 
 
-class _Blocks:
-    """A block-diagonal matrix of the clique cone as one stack of blocks per
-    block size, or a vector split the same way (the NT eigenvalues).
-    Arithmetic and ``@`` act stack by stack; ``T`` transposes every block."""
+class _Cone:
+    """The operator A and the cone, in what both forms share.  Rows
+    0..m-1 are the readings; rows m..n_rows-1 are hard rows B(W) = b (none
+    on the dense cone), whose free multipliers y the iterate's r carries
+    after the m residuals.  W is one array of ``shape``: (d, d) on the dense
+    cone, (blocks, 4, 4) on the clique cone.  Term t of row ``row[t]`` has
+    coefficient ``c[t]`` at flat position ``flat[t]`` of W."""
 
-    __slots__ = ("parts",)
-    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+    def values(self, W: np.ndarray) -> np.ndarray:
+        """Tr(A_i W) for every row."""
+        return np.bincount(self.row, self.c * W.take(self.flat), minlength=self.n_rows)
 
-    def __init__(self, parts):
-        self.parts = list(parts)
+    def accumulate(self, weights: np.ndarray) -> np.ndarray:
+        """sum_i weights_i A_i over every row."""
+        out = np.bincount(self.flat, weights[self.row] * self.c, minlength=self.entries)
+        return out.reshape(self.shape)
 
-    def _map(self, op, other):
-        if isinstance(other, _Blocks):
-            return _Blocks([op(a, b) for a, b in zip(self.parts, other.parts)])
-        return _Blocks([op(a, other) for a in self.parts])
+    def identity(self, alpha: float) -> np.ndarray:
+        return alpha * np.broadcast_to(np.eye(self.shape[-1]), self.shape)
 
-    def __add__(self, other):
-        return self._map(operator.add, other)
+    def trace(self, W: np.ndarray) -> float:
+        return float(_diagonal(W).sum())
 
-    def __sub__(self, other):
-        return self._map(operator.sub, other)
+    def multipliers(self, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+        m = self.m
+        return np.concatenate([2.0 * w * r[:m], r[m:]])
 
-    def __mul__(self, other):
-        return self._map(operator.mul, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return self._map(operator.matmul, other)
-
-    def __neg__(self):
-        return _Blocks(-a for a in self.parts)
-
-    @property
-    def T(self):
-        return _Blocks(a.swapaxes(-1, -2) for a in self.parts)
+    def r_step(self, dlam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        m = self.m
+        return np.concatenate([0.5 * dlam[:m] / w, dlam[m:]])
 
 
-def _each(f, *xs):
-    """f on each stack of _Blocks arguments, or on plain arrays."""
-    if isinstance(xs[0], _Blocks):
-        return _Blocks(f(*a) for a in zip(*(x.parts for x in xs)))
-    return f(*xs)
-
-
-def _inner(X, Y) -> float:
-    """<X, Y>, summed over the blocks."""
-    if isinstance(X, _Blocks):
-        return sum(float(np.vdot(a, b)) for a, b in zip(X.parts, Y.parts))
-    return float(np.vdot(X, Y))
-
-
-def _norm(X) -> float:
-    """Frobenius norm, over all blocks."""
-    if isinstance(X, _Blocks):
-        return float(np.sqrt(_inner(X, X)))
-    return float(np.linalg.norm(X))
-
-
-class _Terms:
+class _Terms(_Cone):
     """Flattened sparse terms of all coefficient matrices on the reduced
     (anchor-eliminated) index set, and the dense cone on them.
 
@@ -248,10 +229,15 @@ class _Terms:
         self.q = q[ok]
         self.c = c[ok]
         self.n_terms = len(self.c)
-        # Flat position of each term in a d x d matrix.  The terms are sorted
-        # by row, so the bincount sums below run in the order of a CSR
-        # mat-vec.
-        self.pq = self.p * d + self.q
+        # The dense cone: W is one d x d matrix and the rows are the
+        # readings.  The terms are sorted by row, so the bincount sums of
+        # ``values`` and ``accumulate`` run in the order of a CSR mat-vec.
+        self.size = d
+        self.n_rows = m
+        self.b = np.zeros(0)
+        self.shape = (d, d)
+        self.entries = d * d
+        self.flat = self.p * d + self.q
         # Support-row table.  Terms are sorted by (row, p, q), so each
         # (row, p) pair is one contiguous run, already in CSR order.
         starts = np.flatnonzero(np.diff(self.row * d + self.p, prepend=-1))
@@ -269,16 +255,6 @@ class _Terms:
             self.Sel = sp.csr_matrix(
                 (np.ones(ns), (self.own, np.arange(ns))), shape=(m, ns)
             )
-
-    def values(self, W: np.ndarray) -> np.ndarray:
-        """Tr(A_i W) for all i."""
-        return np.bincount(self.row, self.c * W.take(self.pq), minlength=self.m)
-
-    def accumulate(self, weights: np.ndarray) -> np.ndarray:
-        """Dense sum_i weights_i A_i."""
-        d = self.d
-        out = np.bincount(self.pq, weights[self.row] * self.c, minlength=d * d)
-        return out.reshape(d, d)
 
     def gram(self, W: np.ndarray, L: np.ndarray) -> np.ndarray:
         """G[i, j] = Tr(A_i W A_j W), given W and a square factor L with
@@ -305,35 +281,11 @@ class _Terms:
         out[self.own, self.sup] = self.M @ X
         return out
 
-    # The dense cone: W is one d x d matrix and the rows are the readings.
-
-    @property
-    def size(self) -> int:
-        return self.d
-
-    def identity(self, alpha: float) -> np.ndarray:
-        return alpha * np.eye(self.d)
-
-    def trace(self, W: np.ndarray) -> float:
-        return np.trace(W)
-
     def restrict(self, W: np.ndarray) -> np.ndarray:
         return W
 
     def complete(self, W: np.ndarray) -> np.ndarray:
         return W
-
-    def extend(self, res: np.ndarray) -> np.ndarray:
-        return res
-
-    def multipliers(self, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return 2.0 * w * r
-
-    def r_step(self, dlam: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return 0.5 * dlam / w
-
-    def primal_residual(self, res: np.ndarray, AW: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return res - r
 
     def nt_scaling(
         self, W: np.ndarray, S: np.ndarray
@@ -385,7 +337,10 @@ def _branch_cliques(
 
     Returns, per clique in breadth-first order from the first anchor, its
     child node a, its parent node and its parent clique (-1 for the first);
-    the anchor's other child cliques hang on the first one."""
+    the anchor's other child cliques hang on the first one.  Each clique
+    becomes one 4 x 4 block of ``_CliqueTerms``, the re and im slots of its
+    parent node and of a, where an anchor's im slot is a pad held by a pin
+    row."""
     if len(keep) < CLIQUE_MIN_DIM or not problem.anchors:
         return None
     n = problem.dim // 2
@@ -408,13 +363,14 @@ def _branch_cliques(
     return child, parent_node, parent
 
 
-def _term_cliques(terms: _Terms, keep: np.ndarray, n: int, child, pnode, nk):
+def _term_cliques(terms: _Terms, keep: np.ndarray, n: int, child, pnode):
     """The clique of each term and its local (p, q) in that clique's block.
 
     A branch's terms go to its clique; a node's own terms to the first
     clique of the same row that holds the node, else to the node's home
     clique (the one it is the child of; the first one for the root).  A
-    block lists its parent node's kept indices, then its child node's."""
+    block holds the re and im slots of its parent node, then of its child
+    node."""
     node = keep % n
     im = (keep >= n).astype(np.intp)
     row, p, q = terms.row, terms.p, terms.q
@@ -435,57 +391,55 @@ def _term_cliques(terms: _Terms, keep: np.ndarray, n: int, child, pnode, nk):
     own = row[~off] * n + u[~off]
     at = np.minimum(np.searchsorted(key, own), len(key) - 1)
     blk[~off] = np.where(key[at] == own, kb[at], blk[~off])
-    base = nk[pnode[blk]]
-    lp = np.where(node[p] == pnode[blk], 0, base) + im[p]
-    lq = np.where(node[q] == pnode[blk], 0, base) + im[q]
+    lp = np.where(u == pnode[blk], 0, 2) + im[p]
+    lq = np.where(v == pnode[blk], 0, 2) + im[q]
     return blk, lp, lq
 
 
-def _overlap_terms(child, pnode, parent, nk):
-    """Terms (row, clique, local p, local q, c) of the overlap rows, rows
-    numbered from 0, and their count.  On each separator J (the parent
-    node's kept indices) they are the entries (0, 0), (0, 1), (1, 1) of J,
-    just (0, 0) at an anchor, +1 in the child block and -1 in the parent
-    block."""
-    out = []
-    h = 0
-    for b in range(1, len(child)):
-        s, P = pnode[b], parent[b]
-        base = nk[pnode[P]] if child[P] == s else 0
-        for i in range(nk[s]):
-            for j in range(i, nk[s]):
-                pairs = [(i, i)] if i == j else [(i, j), (j, i)]
-                coef = 1.0 if i == j else 0.5
-                for bb, o0, sign in ((b, 0, 1.0), (P, base, -1.0)):
-                    out += [(h, bb, o0 + a, o0 + e, sign * coef) for a, e in pairs]
-                h += 1
-    table = np.array(out, dtype=float).reshape(-1, 5)
-    ints = table[:, :4].astype(np.intp)
-    return ints[:, 0], ints[:, 1], ints[:, 2], ints[:, 3], table[:, 4], h
+def _hard_terms(child, pnode, parent, pad):
+    """Terms (row, clique, local p, local q, c) of the hard rows, rows
+    numbered from 0, and the rows' right-hand sides b.
+
+    On each separator J (the parent node's two slots) three overlap rows set
+    the entries (0, 0), (0, 1) and (1, 1) of J equal in the child block (+1)
+    and the parent block (-1), b = 0.  Then one pin row per pad sets the
+    pad's diagonal to the start's, b = 0.1, in its home block: the one whose
+    child node it belongs to, or the first one for the root."""
+    nb = len(child)
+    kid = np.arange(1, nb)  # the cliques with a parent clique
+    P = parent[kid]
+    base = np.where(child[P] == pnode[kid], 2, 0)[:, None]
+    # The four entries of J and which of the three rows each belongs to.
+    i, j, k = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([0, 1, 1, 2])
+    coef = np.tile(np.where(i == j, 1.0, 0.5), nb - 1)
+    orow = (3 * (kid - 1)[:, None] + k).ravel()
+    home = np.zeros_like(pad)
+    home[0, 1] = True
+    home[:, 3] = True
+    pb, pl = np.nonzero(pad & home)
+    h = 3 * (nb - 1)
+    row = np.concatenate([orow, orow, h + np.arange(len(pb))])
+    blk = np.concatenate([np.repeat(kid, 4), np.repeat(P, 4), pb])
+    lp = np.concatenate([np.tile(i, nb - 1), (base + i).ravel(), pl])
+    lq = np.concatenate([np.tile(j, nb - 1), (base + j).ravel(), pl])
+    c = np.concatenate([coef, -coef, np.ones(len(pb))])
+    rhs = np.concatenate([np.zeros(h), np.full(len(pb), _W0)])
+    return row, blk, lp, lq, c, rhs
 
 
-@dataclass
-class _Group:
-    """The blocks of one size k: their reduced indices, and one entry per
-    (row, block) pair, its coefficient matrix row-major in ``V[block, slot]``
-    (padded to the most entries of any block, rmax).  ``gpos`` picks every
-    pair of entries of one block out of the (blocks, rmax, rmax) products."""
+class _CliqueTerms(_Cone):
+    """The clique cone of a tree-shaped problem: one 4 x 4 PSD block per
+    branch, W one (blocks, 4, 4) array.  A block holds the re and im slots
+    of its parent node, then of its child node; an anchor's im slots are
+    pads, which no reading touches (``_Terms`` drops the anchors' imaginary
+    indices).
 
-    k: int
-    idx: np.ndarray  # (blocks, k) reduced indices
-    V: np.ndarray  # (blocks, rmax, k * k)
-    gpos: np.ndarray
-
-
-class _CliqueTerms:
-    """The clique cone of a tree-shaped problem: one PSD block per branch,
-    and the readings' terms and the overlap rows on those blocks.
-
-    Rows 0..m-1 are the readings, rows m..m+h-1 the overlap rows
-    ``W_K[J, J] - W_parent[J, J] = 0`` (3 per separator, 1 at an anchor).
-    The iterate's r carries the overlap multipliers y after the m residuals.
-    Blocks are stored per size as stacks (``_Blocks``); a term's flat
-    position ``fpos`` points into the stacks laid end to end.
+    The hard rows are the overlap rows ``W_K[J, J] - W_parent[J, J] = 0``
+    (3 per separator) and one pin row ``W_pp = 0.1`` per anchor.  Flipping
+    the sign of every pad coordinate maps the problem and the start onto
+    themselves, so the central path keeps each pad decoupled, zero beside
+    its diagonal, and on the kept indices it is that of the blocks without
+    pads.
     """
 
     def __init__(
@@ -496,201 +450,123 @@ class _CliqueTerms:
         cliques: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ):
         child, pnode, parent = cliques
-        nb = len(child)
-        m = terms.m
-        pos = -np.ones(2 * n, dtype=np.intp)
-        pos[keep] = np.arange(len(keep))
-        nk = np.where(pos[n:] >= 0, 2, 1)  # kept indices per node
-        size = nk[pnode] + nk[child]
-        self.blocks = nb
-        self.size = int(size.sum())
-        self.m = m
-        self.d = len(keep)
+        self.blocks = nb = len(child)
+        self.m = m = terms.m
+        self.d = d = len(keep)
+        self.size = 4 * nb
+        self.shape = (nb, 4, 4)
+        self.entries = 16 * nb
+        # Each block's reduced indices, d at a pad.
+        pos = np.full(2 * n, d, dtype=np.intp)
+        pos[keep] = np.arange(d)
+        self._idx = pos[np.stack([pnode, n + pnode, child, n + child], 1)]
+        self._pad = self._idx == d
 
-        blk, lp, lq = _term_cliques(terms, keep, n, child, pnode, nk)
-        orow, oblk, olp, olq, oc, self.h = _overlap_terms(child, pnode, parent, nk)
-        self.n_rows = N = m + self.h
-        row = np.concatenate([terms.row, m + orow])
-        blk = np.concatenate([blk, oblk])
-        lp = np.concatenate([lp, olp])
-        lq = np.concatenate([lq, olq])
-        c = np.concatenate([terms.c, oc])
+        blk, lp, lq = _term_cliques(terms, keep, n, child, pnode)
+        hrow, hblk, hlp, hlq, hc, self.b = _hard_terms(child, pnode, parent, self._pad)
+        self.n_rows = N = m + len(self.b)
+        self.row = row = np.concatenate([terms.row, m + hrow])
+        self.c = c = np.concatenate([terms.c, hc])
+        blk = np.concatenate([blk, hblk])
+        local = np.concatenate([lp, hlp]) * 4 + np.concatenate([lq, hlq])
+        self.flat = blk * 16 + local
 
-        # Blocks grouped by size, and each group's (row, block) entries.
-        sizes = np.unique(size)
-        gid = np.searchsorted(sizes, size)
-        slot = np.zeros(nb, dtype=np.intp)
-        idx_all = np.stack([pos[pnode], pos[n + pnode], pos[child], pos[n + child]], 1)
-        self.groups: List[_Group] = []
-        self._offsets = [0]
-        goff = np.zeros(len(sizes), dtype=np.intp)
-        cells = []
-        for g, k in enumerate(sizes.tolist()):
-            members = np.flatnonzero(gid == g)
-            slot[members] = np.arange(len(members))
-            goff[g] = self._offsets[-1]
-            self._offsets.append(goff[g] + len(members) * k * k)
-            idx = idx_all[members]
-            idx = idx[idx >= 0].reshape(-1, k)
-            sel = gid[blk] == g
-            ekey, inv = np.unique(slot[blk[sel]] * N + row[sel], return_inverse=True)
-            eblk, erow = np.divmod(ekey, N)
-            E = len(ekey)
-            # Every ordered pair of entries of one block, and where its
-            # product lands in G and in the padded per-block products.
-            first = np.searchsorted(eblk, eblk)
-            count = np.searchsorted(eblk, eblk, side="right") - first
-            li = np.arange(E) - first
-            rmax = int(count.max())
-            V = np.bincount(
-                (eblk * rmax + li)[inv] * (k * k) + lp[sel] * k + lq[sel],
-                c[sel],
-                minlength=len(members) * rmax * k * k,
-            ).reshape(len(members), rmax, k * k)
-            pe = np.repeat(np.arange(E), count)
-            pf = np.repeat(first, count) + (
-                np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-            )
-            cells.append(erow[pe] * N + erow[pf])
-            gpos = (eblk[pe] * rmax + li[pe]) * rmax + li[pf]
-            self.groups.append(_Group(k, idx, V, gpos))
-        self.cell = np.concatenate(cells)
-        self.row = row
-        self.c = c
-        k_of = size[blk]
-        self.fpos = goff[gid[blk]] + slot[blk] * k_of * k_of + lp * k_of + lq
-        self._eye = [np.broadcast_to(np.eye(g.k), g.idx.shape + (g.k,)) for g in self.groups]
-        # For the completion: the reduced indices in breadth-first node
-        # order (the root's, then each clique's child node's), where each
-        # clique's new indices start and where its parent node's do.
-        start = nk[child].cumsum() - nk[child] + nk[pnode[0]]
-        node_start = np.zeros(n, dtype=np.intp)
-        node_start[child] = start
-        root, kids = idx_all[0, :2], idx_all[:, 2:]
-        self._perm = np.concatenate([root[root >= 0], kids[kids >= 0]])
-        self._start, self._pstart, self._sep = start, node_start[pnode], nk[pnode]
-        self._gid, self._slot = gid, slot
-
-    def _split(self, flat: np.ndarray) -> _Blocks:
-        return _Blocks(
-            flat[a:b].reshape(-1, g.k, g.k)
-            for g, a, b in zip(self.groups, self._offsets, self._offsets[1:])
+        # One entry per (row, block) pair, its coefficient matrix row-major
+        # in V[block, slot] (padded to the most entries of any block, rmax).
+        ekey, inv = np.unique(blk * N + row, return_inverse=True)
+        eblk, erow = np.divmod(ekey, N)
+        E = len(ekey)
+        first = np.searchsorted(eblk, eblk)
+        count = np.searchsorted(eblk, eblk, side="right") - first
+        li = np.arange(E) - first
+        rmax = int(count.max())
+        self._V = np.bincount(
+            (eblk * rmax + li)[inv] * 16 + local, c, minlength=nb * rmax * 16
+        ).reshape(nb, rmax, 16)
+        # Every ordered pair of entries of one block, and where its product
+        # lands in G and in the (blocks, rmax, rmax) products.
+        pe = np.repeat(np.arange(E), count)
+        pf = np.repeat(first, count) + (
+            np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         )
+        self._cell = erow[pe] * N + erow[pf]
+        self._gpos = (eblk[pe] * rmax + li[pe]) * rmax + li[pf]
+        # For the completion: the slots in breadth-first node order (the
+        # root's two, then each clique's child node's two) of every
+        # clique's parent node and of every reduced index.
+        rank = np.zeros(n, dtype=np.intp)
+        rank[child] = np.arange(1, nb + 1)
+        self._pslot = 2 * rank[pnode]
+        self._slot = 2 * rank[keep % n] + (keep >= n)
 
-    def values(self, W: _Blocks) -> np.ndarray:
-        """Tr(C_i W) for the readings, then the overlap rows."""
-        flat = np.concatenate([a.ravel() for a in W.parts])
-        return np.bincount(self.row, self.c * flat.take(self.fpos), minlength=self.n_rows)
-
-    def accumulate(self, weights: np.ndarray) -> _Blocks:
-        """sum_i weights_i C_i over the readings and overlap rows."""
-        flat = np.bincount(self.fpos, weights[self.row] * self.c, minlength=self._offsets[-1])
-        return self._split(flat)
-
-    def gram(self, W: _Blocks, R: _Blocks) -> np.ndarray:
+    def gram(self, W: np.ndarray, R: np.ndarray) -> np.ndarray:
         """G[i, j] = sum over cliques K of Tr(C_i^K What_K C_j^K What_K) =
         vec(C_i^K)^T (What_K kron What_K) vec(C_j^K), for every pair of
         entries of one block at once, scattered into G."""
-        vals = []
-        for g, Wg in zip(self.groups, W.parts):
-            k = g.k
-            kron = (Wg[:, :, None, :, None] * Wg[:, None, :, None, :]).reshape(-1, k * k, k * k)
-            vals.append((g.V @ kron @ g.V.swapaxes(1, 2)).take(g.gpos))
+        kron = (W[:, :, None, :, None] * W[:, None, :, None, :]).reshape(-1, 16, 16)
+        vals = (self._V @ kron @ self._V.swapaxes(1, 2)).take(self._gpos)
         N = self.n_rows
-        return np.bincount(self.cell, np.concatenate(vals), minlength=N * N).reshape(N, N)
+        return np.bincount(self._cell, vals, minlength=N * N).reshape(N, N)
 
-    def identity(self, alpha: float) -> _Blocks:
-        return _Blocks(alpha * e for e in self._eye)
+    def restrict(self, W: np.ndarray) -> np.ndarray:
+        """The clique blocks of a reduced d x d matrix, each pad 0.1 on its
+        diagonal and 0 beside it."""
+        Wp = np.zeros((self.d + 1, self.d + 1))
+        Wp[:-1, :-1] = W
+        B = Wp[self._idx[:, :, None], self._idx[:, None, :]]
+        _diagonal(B)[self._pad] = _W0
+        return B
 
-    def trace(self, W: _Blocks) -> float:
-        return sum(float(np.trace(a, axis1=1, axis2=2).sum()) for a in W.parts)
-
-    def restrict(self, W: np.ndarray) -> _Blocks:
-        """The clique blocks of a reduced d x d matrix."""
-        return _Blocks(W[g.idx[:, :, None], g.idx[:, None, :]] for g in self.groups)
-
-    def complete(self, W: _Blocks) -> np.ndarray:
+    def complete(self, W: np.ndarray) -> np.ndarray:
         """The max-determinant completion of the blocks along the clique
-        tree: each clique's new indices N are set conditionally independent
-        of the indices U before them given the separator J, ``X[N, U] = Phi
-        X[J, U]`` with ``Phi = W_K[N, J] W_K[J, J]^-1``, and ``X[N, N] =
-        Phi X[J, J] Phi^T`` plus the Schur complement of W_K[J, J] in W_K.
-        Where the blocks agree on their separators that is W_K itself.  Near
-        a rank-one optimum they differ by the overlap rows' residual (the
-        Schur system's rounding, up to about 1e-6 relative) and every
-        separator block is rank one to rounding, so the inverse is a
-        pseudo-inverse that drops directions below 1e-10 of the largest:
-        with the parent's X[J, J] the completion then stays PSD to rounding.
-        Built in breadth-first node order, where U is a prefix."""
-        phi: List[Optional[np.ndarray]] = [None] * self.blocks
-        schur: List[Optional[np.ndarray]] = [None] * self.blocks
-        for g, Bs in enumerate(W.parts):
-            members = np.flatnonzero(self._gid == g)
-            for j in np.unique(self._sep[members]).tolist():
-                sel = members[self._sep[members] == j]
-                B = Bs[self._slot[sel]]
-                F = B[:, j:, :j] @ np.linalg.pinv(B[:, :j, :j], rcond=1e-10, hermitian=True)
-                C = B[:, j:, j:] - F @ B[:, :j, j:]
-                for b, f, c in zip(sel.tolist(), F, C):
-                    phi[b], schur[b] = f, c
-        X = np.zeros((self.d, self.d))
-        for b in range(self.blocks):
-            B = W.parts[self._gid[b]][self._slot[b]]
-            j, s0, ps = self._sep[b], self._start[b], self._pstart[b]
-            s1 = s0 + len(B) - j
-            if b == 0:
-                X[:s1, :s1] = B
-                continue
-            f = phi[b]
-            X[s0:s1, :s0] = f @ X[ps : ps + j, :s0]
-            X[:s0, s0:s1] = X[s0:s1, :s0].T
-            Y = schur[b] + f @ X[ps : ps + j, ps : ps + j] @ f.T
-            X[s0:s1, s0:s1] = 0.5 * (Y + Y.T)
-        out = np.empty_like(X)
-        out[np.ix_(self._perm, self._perm)] = X
-        return out
+        tree, without the pads: each clique's child slots N are set
+        conditionally independent of the slots U before them given the
+        separator J, ``X[N, U] = Phi X[J, U]`` with ``Phi = W_K[N, J]
+        W_K[J, J]^-1``, and ``X[N, N] = Phi X[J, J] Phi^T`` plus the Schur
+        complement of W_K[J, J] in W_K.  Where the blocks agree on their
+        separators that is W_K itself.  Near a rank-one optimum they differ
+        by the overlap rows' residual (the Schur system's rounding, up to
+        about 1e-6 relative) and every separator block without a pad is rank
+        one to rounding, so the inverse is a pseudo-inverse that drops
+        directions below 1e-10 of the largest: with the parent's X[J, J] the
+        completion then stays PSD to rounding.  Built in breadth-first node
+        order, where U is a prefix."""
+        F = W[:, 2:, :2] @ np.linalg.pinv(W[:, :2, :2], rcond=1e-10, hermitian=True)
+        C = W[:, 2:, 2:] - F @ W[:, :2, 2:]
+        X = np.zeros((2 * self.blocks + 2,) * 2)
+        X[:4, :4] = W[0]
+        for b in range(1, self.blocks):
+            s, ps, f = 2 * b + 2, self._pslot[b], F[b]
+            X[s : s + 2, :s] = f @ X[ps : ps + 2, :s]
+            X[:s, s : s + 2] = X[s : s + 2, :s].T
+            Y = C[b] + f @ X[ps : ps + 2, ps : ps + 2] @ f.T
+            X[s : s + 2, s : s + 2] = 0.5 * (Y + Y.T)
+        return X[np.ix_(self._slot, self._slot)]
 
-    def extend(self, res: np.ndarray) -> np.ndarray:
-        return np.concatenate([res, np.zeros(self.h)])
+    def nt_scaling(
+        self, W: np.ndarray, S: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        L = _stack_chol(W)
+        if L is None:
+            return None
+        try:
+            vals, V = np.linalg.eigh(L.swapaxes(1, 2) @ S @ L)
+        except np.linalg.LinAlgError:
+            return None
+        if not vals[:, 0].min() > 0:
+            return None
+        lam = np.sqrt(vals)
+        return L @ (V / np.sqrt(lam)[:, None, :]), lam
 
-    def multipliers(self, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-        m = self.m
-        return np.concatenate([2.0 * w * r[:m], r[m:]])
+    def psd(self, X: np.ndarray) -> bool:
+        return _stack_chol(X) is not None
 
-    def r_step(self, dlam: np.ndarray, w: np.ndarray) -> np.ndarray:
-        m = self.m
-        return np.concatenate([0.5 * dlam[:m] / w, dlam[m:]])
+    def ends(self, X: np.ndarray) -> List[float]:
+        vals = np.linalg.eigvalsh(X)
+        return [float(vals[:, 0].min()), float(vals[:, -1].max())]
 
-    def primal_residual(self, res: np.ndarray, AW: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return np.concatenate([res - r[: self.m], -AW[self.m :]])
-
-    def nt_scaling(self, W: _Blocks, S: _Blocks) -> Optional[Tuple[_Blocks, _Blocks]]:
-        Rs, lams = [], []
-        for Wg, Sg in zip(W.parts, S.parts):
-            L = _stack_chol(Wg)
-            if L is None:
-                return None
-            try:
-                vals, V = np.linalg.eigh(L.swapaxes(1, 2) @ Sg @ L)
-            except np.linalg.LinAlgError:
-                return None
-            if not vals[:, 0].min() > 0:
-                return None
-            lam = np.sqrt(vals)
-            Rs.append(L @ (V / np.sqrt(lam)[:, None, :]))
-            lams.append(lam)
-        return _Blocks(Rs), _Blocks(lams)
-
-    def psd(self, X: _Blocks) -> bool:
-        return all(_stack_chol(a) is not None for a in X.parts)
-
-    def ends(self, X: _Blocks) -> List[float]:
-        vals = [np.linalg.eigvalsh(a) for a in X.parts]
-        return [min(float(v[:, 0].min()) for v in vals),
-                max(float(v[:, -1].max()) for v in vals)]
-
-    def lowest(self, X: _Blocks) -> float:
-        return min(float(np.linalg.eigvalsh(a)[:, 0].min()) for a in X.parts)
+    def lowest(self, X: np.ndarray) -> float:
+        return float(np.linalg.eigvalsh(X)[:, 0].min())
 
 
 def _chol(M: np.ndarray) -> Optional[np.ndarray]:
@@ -746,15 +622,16 @@ Direction = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 def _linearize(
     op,
     w: np.ndarray,
-    W,
-    S,
+    W: np.ndarray,
+    S: np.ndarray,
     Rp: np.ndarray,
-    Rd,
+    Rd: np.ndarray,
 ) -> Optional[Tuple[np.ndarray, np.ndarray, Callable[..., Direction]]]:
     """NT scaling at (W, S) and the Newton direction of the residuals
     ``Rp = z - r - A(W)`` and ``Rd = S + A^*(2 w o r)`` on op's cone (on the
-    clique cone Rp and A run over the overlap rows too, Rd holds B^*(y) and
-    dr carries the step of y after the readings').
+    clique cone Rp and A run over the hard rows too, with Rp = b - B(W)
+    there, Rd holds B^*(y) and dr carries the step of y after the
+    readings').
 
     Returns R and lam, with ``R R^T S R R^T = W`` and ``R^T S R = R^-1 W R^-T
     = diag(lam)``, and ``direction(K, AK=None)``: the step (dWt, dSt, dS, dr)
@@ -768,9 +645,9 @@ def _linearize(
     if scaling is None:
         return None
     R, lam = scaling
-    Wh = R @ R.T
+    Wh = R @ R.swapaxes(-1, -2)
     G = op.gram(Wh, R)
-    # Sigma/2 on the readings' rows; the overlap rows are hard.
+    # Sigma/2 on the readings' rows; the hard rows have none.
     m, N = len(w), len(G)
     G.flat[: m * (N + 1) : N + 1] += 0.5 / w
     F = _factor_spd(G)
@@ -780,10 +657,10 @@ def _linearize(
 
     def direction(K, AK: Optional[np.ndarray] = None) -> Direction:
         if AK is None:
-            AK = op.values(R @ K @ R.T)
+            AK = op.values(R @ K @ R.swapaxes(-1, -2))
         dlam = dpotrs(F, rhs0 - AK, lower=1)[0]
         dS = -op.accumulate(dlam) - Rd
-        dSt = R.T @ dS @ R
+        dSt = R.swapaxes(-1, -2) @ dS @ R
         return K - dSt, dSt, dS, op.r_step(dlam, w)
 
     return R, lam, direction
@@ -829,17 +706,17 @@ def _converged(gap: float, misfit: float, tol: float, size: int) -> bool:
 
 
 def _dual_bound(op, w: np.ndarray, z: np.ndarray, r: np.ndarray) -> float:
-    """``lambda . z - sum_i lambda_i^2 / (4 w_i)`` for lambda = 2 w o r, which
-    equals ``(w o r) . (2 z - r)``, when ``-A^*(lambda)`` has a Cholesky
-    factor (on the clique cone, every block of ``-A^*(lambda) - B^*(y)``),
-    else NaN.  For every PSD W, ``sum_i w_i (z - A(W))_i^2 >= lambda . (z -
-    A(W)) - sum_i lambda_i^2 / (4 w_i)`` and ``-lambda . A(W) =
-    <-A^*(lambda), W> >= 0`` (``y . B(W) = 0`` on consistent blocks), so no
-    W fits better than the bound."""
+    """``lambda . z - sum_i lambda_i^2 / (4 w_i) + y . b`` for lambda = 2 w
+    o r, which equals ``(w o r) . (2 z - r) + y . b``, when ``-A^*(lambda) -
+    B^*(y)`` has a Cholesky factor (on the clique cone, every block of it;
+    the dense cone has no hard rows), else NaN.  For every PSD W with B(W) =
+    b, ``sum_i w_i (z - A(W))_i^2 >= lambda . (z - A(W)) - sum_i
+    lambda_i^2 / (4 w_i)`` and ``-lambda . A(W) = <-A^*(lambda) - B^*(y),
+    W> + y . b >= y . b``, so no W fits better than the bound."""
     if not op.psd(-op.accumulate(op.multipliers(w, r))):
         return float("nan")
-    r = r[: len(z)]
-    return float(np.dot(w * r, 2.0 * z - r))
+    m = len(z)
+    return float(np.dot(w * r[:m], 2.0 * z - r[:m]) + np.dot(r[m:], op.b))
 
 
 def _diagonal(X: np.ndarray) -> np.ndarray:
@@ -868,16 +745,18 @@ def _corrector(dWa: np.ndarray, dSa: np.ndarray, lam: np.ndarray, target: float)
     return 2.0 * C / (lam[..., :, None] + lam[..., None, :])
 
 
-def _interior_point(op, w: np.ndarray, z: np.ndarray, W, tol: float, max_iterations: int):
+def _interior_point(
+    op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float, max_iterations: int
+):
     """The primal-dual iteration on op's cone from W.  Returns the last
     iterate W, the iterations taken, the status and the dual bound."""
     m, size = len(z), op.size
     AW = op.values(W)
     res = z - AW[:m]
     # A centered start: S a multiple of I with <W, S> = f(W), and r primal
-    # feasible (with zero overlap multipliers on the clique cone).
+    # feasible (with zero multipliers y of the hard rows).
     S = op.identity(float(np.dot(w, res * res)) / op.trace(W))
-    r = op.extend(res)
+    r = np.concatenate([res, np.zeros(len(op.b))])
     iterations = 0
     status = "converged"
     dual_bound = float("nan")
@@ -886,40 +765,40 @@ def _interior_point(op, w: np.ndarray, z: np.ndarray, W, tol: float, max_iterati
         AW = op.values(W)
         res = z - AW[:m]
         Rd = S + op.accumulate(op.multipliers(w, r))
-        dual_feasible = _norm(Rd) <= tol * max(1.0, _norm(S))
+        dual_feasible = np.linalg.norm(Rd) <= tol * max(1.0, np.linalg.norm(S))
         # At the last iterates S's smallest eigenvalues sink to rounding
         # against its largest, so the final one alone can fail the
         # certificate: the best bound over the dual-feasible iterates is kept.
         if dual_feasible:
             dual_bound = float(np.fmax(dual_bound, _dual_bound(op, w, z, r)))
         if dual_feasible and _converged(
-            _inner(W, S), float(np.dot(w, res * res)), tol, size
+            float(np.vdot(W, S)), float(np.dot(w, res * res)), tol, size
         ):
             break
         if iterations >= max_iterations:
             status = "max_iter"
             break
-        lin = _linearize(op, w, W, S, op.primal_residual(res, AW, r), Rd)
+        Rp = np.concatenate([res - r[:m], op.b - AW[m:]])
+        lin = _linearize(op, w, W, S, Rp, Rd)
         if lin is None:
             status = "numerical_failure"
             break
         R, lam, direction = lin
-        mu = _inner(lam, lam) / size
-        s = _each(_pair_scale, lam)
+        mu = float(np.vdot(lam, lam)) / size
+        s = _pair_scale(lam)
         # Predictor: the affine-scaling direction, K = -Lam, for which
         # R K R^T = -W.  Its scaled W step is -Lam minus its scaled S step,
         # so one spectrum gives both distances to the boundary.
-        Lam = _each(_diag, lam)
+        Lam = _diag(lam)
         dWa, dSa, _, _ = direction(-Lam, -AW)
         lo, hi = op.ends(dSa * s)
         t = _step_length(lo, -1.0 - hi)
-        mu_aff = _inner(Lam + t * dWa, Lam + t * dSa) / size
-        target = _sigma(mu_aff, mu) * mu
-        K = _each(lambda a, b, v: _corrector(a, b, v, target), dWa, dSa, lam)
+        mu_aff = float(np.vdot(Lam + t * dWa, Lam + t * dSa)) / size
+        K = _corrector(dWa, dSa, lam, _sigma(mu_aff, mu) * mu)
         dWt, dSt, dS, dr = direction(K)
         t = _step_length(op.lowest(dWt * s), op.lowest(dSt * s))
-        dW = R @ dWt @ R.T
-        W = W + (0.5 * t) * (dW + dW.T)
+        dW = R @ dWt @ R.swapaxes(-1, -2)
+        W = W + (0.5 * t) * (dW + dW.swapaxes(-1, -2))
         S = S + t * dS
         r = r + t * dr
         iterations += 1
@@ -962,7 +841,7 @@ def _solve(
     # rank one steers the solve to a near rank-one W even where the readings
     # leave the state free, and lambda2/lambda1 of the relaxed W is the flag
     # that reports such a state as unrecoverable.
-    W = op.identity(0.1)
+    W = op.identity(_W0)
     if config.initial_W is not None:
         if config.initial_W.shape != (dim, dim):
             raise ValidationError(

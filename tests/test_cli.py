@@ -158,6 +158,76 @@ def test_invalid_network_exits_2(workdir, synth0):
     assert "unknown keys ['mystery'] in network document" in res.output
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["branches"][1].update(r="abc"), "branch 'l1': r must be a number"),
+        (lambda d: d["branches"][1].update(x=None), "branch 'l1': x must be a number"),
+        (lambda d: d.update(base_mva="x"), "network document: base_mva must be a number"),
+        (lambda d: d["branches"][1].update(r=float("nan")), "branch 'l1': r must be finite"),
+        (lambda d: d["buses"][2].update(base_kV=float("nan")),
+         "bus 'b2': base_kV must be finite"),
+        (lambda d: d["buses"][2].update(base_kV=0), "bus 'b2': base_kV must be positive"),
+    ],
+    ids=["r-text", "x-null", "base-mva-text", "r-nan", "base-kv-nan", "base-kv-zero"],
+)
+def test_malformed_number_in_network_exits_2(workdir, synth0, edit, message):
+    doc = netgen.chain_doc(6, seed=17)
+    edit(doc)
+    bad = workdir["root"] / "bad_number_net.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["observability", "--network", str(bad),
+         "--measurements", str(synth0),
+         "--out", str(workdir["root"] / "obs_bad_number")]
+    )
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("value", "abc", "measurement 1: value must be a number"),
+        ("sigma", None, "measurement 1: sigma must be a number"),
+    ],
+    ids=["value-text", "sigma-null"],
+)
+def test_malformed_number_in_measurements_exits_2(workdir, synth0, key, value, message):
+    doc = json.loads(synth0.read_text())
+    doc[1][key] = value
+    bad = workdir["root"] / "bad_number_meas.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["observability", "--network", str(workdir["net"]),
+         "--measurements", str(bad),
+         "--out", str(workdir["root"] / "obs_bad_meas")]
+    )
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("mag_pu", "x", "state record 2: mag_pu must be a number"),
+        ("angle_deg", float("nan"), "state record 2: angle_deg must be finite"),
+    ],
+    ids=["mag-text", "angle-nan"],
+)
+def test_malformed_number_in_state_exits_2(workdir, key, value, message):
+    doc = json.loads(workdir["truth"].read_text())
+    doc[2][key] = value
+    bad = workdir["root"] / "bad_number_state.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["synth", "--network", str(workdir["net"]), "--state", str(bad),
+         "--noise-level", "0", "--out", str(workdir["root"] / "synth_bad_state")]
+    )
+    assert res.exit_code == 2
+    assert message in res.output
+
+
 def test_observability_command(workdir, synth0):
     out = workdir["root"] / "obs"
     res = run_cli(
