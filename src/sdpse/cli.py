@@ -50,7 +50,7 @@ from .partition import (
     validate_plan,
 )
 from .pipeline import EstimationResult, estimate, estimate_with_plan
-from .sdpmat import build_matrix_set
+from .sdpmat import MeasurementMatrixSet, build_matrix_set
 from .solver import SolverConfig
 from .stats import compute_error_stats, save_histogram_csv
 
@@ -201,6 +201,7 @@ def _run_estimate(
     anchors: List[Anchor],
     repair_method: Optional[str],
     config: SolverConfig,
+    mats: MeasurementMatrixSet,
 ) -> EstimationResult:
     if plan is not None:
         plan.anchors = _assign_anchor_subs(plan, anchors) if anchors else plan.anchors
@@ -208,7 +209,7 @@ def _run_estimate(
     if not anchors:
         raise ValidationError("monolithic estimation requires --anchors")
     anchor_nodes = [model.node_of(a.bus, a.phase) for a in anchors]
-    return estimate(model, meas, anchor_nodes, config, repair_method)
+    return estimate(model, meas, anchor_nodes, config, repair_method, mats)
 
 
 def _write_estimate_artifacts(outdir, model, result, truth=None):
@@ -341,7 +342,7 @@ def estimate_cmd(
 
     anchors = _load_anchor_file(anchors_path) if anchors_path else []
     method = None if no_repair else repair_method
-    result = _run_estimate(model, meas, plan, anchors, method, SolverConfig())
+    result = _run_estimate(model, meas, plan, anchors, method, SolverConfig(), mats)
     outdir = _outdir(out)
     _write_estimate_artifacts(outdir, model, result, truth)
     click.echo(

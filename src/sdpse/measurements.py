@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .network import NetworkModel, parse_number
+from .network import NetworkModel, parse_number, require_object
 from .rand import normal_stream, subseed
 from .sdpmat import MeasurementMatrixSet, PairData
 
@@ -403,6 +403,7 @@ def measurements_from_doc(model: NetworkModel, doc: list) -> List[Measurement]:
         raise ValidationError("measurement file must be a JSON array")
     out = []
     for i, rec in enumerate(doc):
+        require_object(rec, f"measurement {i}")
         allowed = {"kind", "bus", "phase", "to_bus", "to_phase", "value", "sigma", "provenance"}
         extra = set(rec) - allowed
         if extra:
@@ -466,6 +467,7 @@ def state_from_doc(model: NetworkModel, doc: list) -> np.ndarray:
         raise ValidationError("state file must be a JSON array")
     V = np.full(model.n_nodes, np.nan + 0j)
     for i, rec in enumerate(doc):
+        require_object(rec, f"state record {i}")
         extra = set(rec) - {"bus", "phase", "mag_pu", "angle_deg"}
         if extra:
             raise ValidationError(f"state record {i}: unknown keys {sorted(extra)}")

@@ -199,6 +199,20 @@ def parse_number(value, where: str, finite: bool = True) -> float:
     return out
 
 
+def parse_bool(value, where: str) -> bool:
+    """A JSON boolean; ValidationError naming the record (``where``) for
+    anything else, so that the string ``"false"`` is not read as true."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def require_object(rec, where: str) -> None:
+    """ValidationError naming the record unless it is a JSON object."""
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {rec!r}")
+
+
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
     extra = set(obj) - allowed
     if extra:
@@ -217,13 +231,17 @@ def parse_network(document: dict) -> NetworkModel:
     _reject_unknown(document, _TOP_KEYS, "network document")
     if "buses" not in document or "branches" not in document:
         raise ValidationError("network document needs 'buses' and 'branches'")
+    for key in ("buses", "branches"):
+        if not isinstance(document[key], list):
+            raise ValidationError(f"network document: {key!r} must be a JSON array")
     base_mva = parse_number(document.get("base_mva", 1.0), "network document: base_mva")
     if base_mva <= 0:
         raise ValidationError("base_mva must be positive")
 
     buses: List[Bus] = []
     seen_buses: Set[str] = set()
-    for raw in document["buses"]:
+    for k, raw in enumerate(document["buses"]):
+        require_object(raw, f"bus entry {k}")
         _reject_unknown(raw, _BUS_KEYS, f"bus {raw.get('id')!r}")
         if "id" not in raw or "phases" not in raw:
             raise ValidationError("every bus needs 'id' and 'phases'")
@@ -241,7 +259,9 @@ def parse_network(document: dict) -> NetworkModel:
             Bus(
                 id=bid,
                 phases=phases,
-                is_feeder_head=bool(raw.get("feeder_head", False)),
+                is_feeder_head=parse_bool(
+                    raw.get("feeder_head", False), f"bus {bid!r}: feeder_head"
+                ),
                 base_kV=base_kv,
             )
         )
@@ -258,6 +278,7 @@ def parse_network(document: dict) -> NetworkModel:
     bus_by_id = {b.id: b for b in buses}
 
     def resolve(endpoint: dict, where: str) -> int:
+        require_object(endpoint, where)
         _reject_unknown(endpoint, _ENDPOINT_KEYS, where)
         bus = str(endpoint.get("bus"))
         phase = endpoint.get("phase", "A")
@@ -269,7 +290,8 @@ def parse_network(document: dict) -> NetworkModel:
 
     branches: List[Branch] = []
     seen_branches: Set[str] = set()
-    for raw in document["branches"]:
+    for k, raw in enumerate(document["branches"]):
+        require_object(raw, f"branch entry {k}")
         brid = str(raw.get("id"))
         _reject_unknown(raw, _BRANCH_KEYS, f"branch {brid!r}")
         for key in ("id", "from", "to", "r", "x"):
@@ -287,8 +309,8 @@ def parse_network(document: dict) -> NetworkModel:
         r = parse_number(raw["r"], f"branch {brid!r}: r") / z_base
         x = parse_number(raw["x"], f"branch {brid!r}: x") / z_base
         b_total = parse_number(raw.get("shunt_b", 0.0), f"branch {brid!r}: shunt_b") * z_base
-        is_switch = bool(raw.get("is_switch", False))
-        closed = bool(raw.get("closed", True))
+        is_switch = parse_bool(raw.get("is_switch", False), f"branch {brid!r}: is_switch")
+        closed = parse_bool(raw.get("closed", True), f"branch {brid!r}: closed")
         z = complex(r, x)
         if z == 0:
             if closed:

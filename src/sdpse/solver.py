@@ -75,14 +75,19 @@ At an iterate whose dual residual meets the stopping rule, lambda = 2 w o r
 gives the dual bound ``lambda . z - sum_i lambda_i^2 / (4 w_i) + y . b``
 whenever ``-A^*(lambda) - B^*(y)`` is PSD (checked by a Cholesky
 factorization): no W in the cone fits better, so it certifies how far the
-relaxed objective is from its optimum.  The best such bound is reported.
+relaxed objective is from its optimum.  The loop keeps the r of every such
+iterate; after it, the candidates are certified from the highest bound down
+and the first that passes is reported (``_best_bound``), so a solve
+usually factors one certificate, not one per dual-feasible iterate.
 
 A rank-one Gauss-Newton refinement runs afterwards: the leading eigenvector
 x_e of the interior-point solution seeds a Levenberg-Marquardt descent on
 the unlifted state, which tightens consistent problems down to machine
 precision.  LM only accepts descending steps, so the refined state's misfit
 is at most that of x_e x_e^T, and it is always returned as the state; the
-report's W stays the relaxed interior-point solution.  The relaxed
+report's W stays the relaxed interior-point solution.  The descent stops
+once the Gauss-Newton model of its next step predicts a decrease at the
+rounding level of the misfit, before evaluating that step.  The relaxed
 objective is no yardstick for the state: it is a lower bound on every
 rank-one misfit.  How far the interior-point solution is from rank one is
 reported all the same, as the ratio lambda2/lambda1 of its two leading
@@ -705,18 +710,29 @@ def _converged(gap: float, misfit: float, tol: float, size: int) -> bool:
     return gap <= max(tol * misfit, 1e-2 * tol * size)
 
 
-def _dual_bound(op, w: np.ndarray, z: np.ndarray, r: np.ndarray) -> float:
-    """``lambda . z - sum_i lambda_i^2 / (4 w_i) + y . b`` for lambda = 2 w
-    o r, which equals ``(w o r) . (2 z - r) + y . b``, when ``-A^*(lambda) -
-    B^*(y)`` has a Cholesky factor (on the clique cone, every block of it;
-    the dense cone has no hard rows), else NaN.  For every PSD W with B(W) =
-    b, ``sum_i w_i (z - A(W))_i^2 >= lambda . (z - A(W)) - sum_i
-    lambda_i^2 / (4 w_i)`` and ``-lambda . A(W) = <-A^*(lambda) - B^*(y),
-    W> + y . b >= y . b``, so no W fits better than the bound."""
-    if not op.psd(-op.accumulate(op.multipliers(w, r))):
-        return float("nan")
+def _best_bound(op, w: np.ndarray, z: np.ndarray, candidates: List[np.ndarray]) -> float:
+    """The highest certified dual bound over the candidate iterates' r, NaN
+    when none is certified.
+
+    Each r gives lambda = 2 w o r and the bound ``lambda . z - sum_i
+    lambda_i^2 / (4 w_i) + y . b``, which equals ``(w o r) . (2 z - r) + y .
+    b``; it is certified when ``-A^*(lambda) - B^*(y)`` has a Cholesky factor
+    (on the clique cone, every block of it; the dense cone has no hard
+    rows).  For every PSD W with B(W) = b, ``sum_i w_i (z - A(W))_i^2 >=
+    lambda . (z - A(W)) - sum_i lambda_i^2 / (4 w_i)`` and ``-lambda . A(W)
+    = <-A^*(lambda) - B^*(y), W> + y . b >= y . b``, so no W fits better than
+    a certified bound.  The candidates are tried from the highest bound
+    down, so the first that passes is the best one."""
     m = len(z)
-    return float(np.dot(w * r[:m], 2.0 * z - r[:m]) + np.dot(r[m:], op.b))
+    values = [
+        float(np.dot(w * r[:m], 2.0 * z - r[:m]) + np.dot(r[m:], op.b))
+        for r in candidates
+    ]
+    for k in np.argsort(-np.array(values)):
+        r = candidates[k]
+        if op.psd(-op.accumulate(op.multipliers(w, r))):
+            return values[k]
+    return float("nan")
 
 
 def _diagonal(X: np.ndarray) -> np.ndarray:
@@ -759,7 +775,7 @@ def _interior_point(
     r = np.concatenate([res, np.zeros(len(op.b))])
     iterations = 0
     status = "converged"
-    dual_bound = float("nan")
+    feasible: List[np.ndarray] = []
 
     while True:
         AW = op.values(W)
@@ -768,9 +784,9 @@ def _interior_point(
         dual_feasible = np.linalg.norm(Rd) <= tol * max(1.0, np.linalg.norm(S))
         # At the last iterates S's smallest eigenvalues sink to rounding
         # against its largest, so the final one alone can fail the
-        # certificate: the best bound over the dual-feasible iterates is kept.
+        # certificate: every dual-feasible iterate is a candidate.
         if dual_feasible:
-            dual_bound = float(np.fmax(dual_bound, _dual_bound(op, w, z, r)))
+            feasible.append(r)
         if dual_feasible and _converged(
             float(np.vdot(W, S)), float(np.dot(w, res * res)), tol, size
         ):
@@ -802,7 +818,7 @@ def _interior_point(
         S = S + t * dS
         r = r + t * dr
         iterations += 1
-    return W, iterations, status, dual_bound
+    return W, iterations, status, _best_bound(op, w, z, feasible)
 
 
 def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -891,29 +907,35 @@ def _polish(
     """Levenberg-Marquardt on the unlifted state from the seed X (the relaxed
     solution's leading eigenvector state).  Only descending steps are taken,
     so the result fits no worse than X X^T.  Returns the refined state and its
-    objective."""
+    objective.
+
+    With r the residual, Jw the weighted Jacobian of r, ``g = Jw^T (sqrt(w) o
+    r)`` and ``H = Jw^T Jw``, the step s solves ``(H + lam I) s = -g``, and the
+    Gauss-Newton model predicts the decrease ``-(2 g . s + s . H s) = s . H s
+    + 2 lam |s|^2 >= 0``.  The misfit f is a sum of m rounded terms, so once
+    that is at most 1e-14 f no step can descend by more than f's rounding:
+    the descent stops there, before evaluating X + s.  Otherwise it stops at
+    f < 1e-30, at a step below 1e-14, when lam passes 1e8 after rejected
+    steps, or after 60 steps."""
     sw = np.sqrt(w)
-
-    def obj_of(Xc: np.ndarray) -> float:
-        r = z - terms.quad_values(Xc)
-        return float(np.dot(w, r * r))
-
     lam = 1e-8
-    fx = obj_of(X)
+    r = z - terms.quad_values(X)
+    fx = float(np.dot(w, r * r))
     for _ in range(60):
-        r = z - terms.quad_values(X)
-        J = -2.0 * terms.jac_rows(X)
-        Jw = sw[:, None] * J
+        Jw = -2.0 * sw[:, None] * terms.jac_rows(X)
         g = Jw.T @ (sw * r)
         H = Jw.T @ Jw
         F = _factor_spd(H + lam * np.eye(len(X)))
         if F is None:
             break
         step = dpotrs(F, -g, lower=1)[0]
+        if float(step @ H @ step) + 2.0 * lam * float(step @ step) <= 1e-14 * fx:
+            break
         Xn = X + step
-        fn = obj_of(Xn)
+        rn = z - terms.quad_values(Xn)
+        fn = float(np.dot(w, rn * rn))
         if fn < fx:
-            X, fx = Xn, fn
+            X, r, fx = Xn, rn, fn
             lam = max(lam * 0.3, 1e-14)
             if fx < 1e-30 or float(np.linalg.norm(step)) < 1e-14:
                 break

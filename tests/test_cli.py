@@ -228,6 +228,107 @@ def test_malformed_number_in_state_exits_2(workdir, key, value, message):
     assert message in res.output
 
 
+@pytest.mark.parametrize("value", ["false", 0, None], ids=["text", "zero", "null"])
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda d, v: d["buses"][0].update(feeder_head=v), "bus 'b0': feeder_head"),
+        (lambda d, v: d["branches"][1].update(is_switch=v), "branch 'l1': is_switch"),
+        (lambda d, v: d["branches"][1].update(closed=v), "branch 'l1': closed"),
+    ],
+    ids=["feeder-head", "is-switch", "closed"],
+)
+def test_non_boolean_flag_in_network_exits_2(workdir, synth0, edit, where, value):
+    doc = netgen.chain_doc(6, seed=17)
+    edit(doc, value)
+    bad = workdir["root"] / "bad_bool_net.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["observability", "--network", str(bad),
+         "--measurements", str(synth0),
+         "--out", str(workdir["root"] / "obs_bad_bool")]
+    )
+    assert res.exit_code == 2
+    assert f"{where} must be true or false" in res.output
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["buses"].__setitem__(2, 1), "bus entry 2 must be a JSON object"),
+        (lambda d: d["branches"].__setitem__(1, 1), "branch entry 1 must be a JSON object"),
+        (lambda d: d["branches"][1].update({"to": 1}), "branch 'l1' to must be a JSON object"),
+        (lambda d: d.update(buses={}), "'buses' must be a JSON array"),
+        (lambda d: d.update(branches=None), "'branches' must be a JSON array"),
+    ],
+    ids=["bus", "branch", "endpoint", "buses-object", "branches-null"],
+)
+def test_non_object_record_in_network_exits_2(workdir, synth0, edit, message):
+    doc = netgen.chain_doc(6, seed=17)
+    edit(doc)
+    bad = workdir["root"] / "bad_record_net.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["observability", "--network", str(bad),
+         "--measurements", str(synth0),
+         "--out", str(workdir["root"] / "obs_bad_record")]
+    )
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+@pytest.mark.parametrize("record", [1, None], ids=["number", "null"])
+def test_non_object_record_in_measurements_exits_2(workdir, synth0, record):
+    doc = json.loads(synth0.read_text())
+    doc[1] = record
+    bad = workdir["root"] / "bad_record_meas.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["observability", "--network", str(workdir["net"]),
+         "--measurements", str(bad),
+         "--out", str(workdir["root"] / "obs_bad_record_meas")]
+    )
+    assert res.exit_code == 2
+    assert "measurement 1 must be a JSON object" in res.output
+
+
+@pytest.mark.parametrize("record", [1, None], ids=["number", "null"])
+def test_non_object_record_in_state_exits_2(workdir, record):
+    doc = json.loads(workdir["truth"].read_text())
+    doc[2] = record
+    bad = workdir["root"] / "bad_record_state.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["synth", "--network", str(workdir["net"]), "--state", str(bad),
+         "--noise-level", "0", "--out", str(workdir["root"] / "synth_bad_record")]
+    )
+    assert res.exit_code == 2
+    assert "state record 2 must be a JSON object" in res.output
+
+
+def test_monolithic_estimate_builds_the_matrix_set_once(workdir, synth0, monkeypatch):
+    import sdpse.cli
+    import sdpse.problem
+
+    builds = []
+    build = sdpse.cli.build_matrix_set
+
+    def counted(model):
+        builds.append(model)
+        return build(model)
+
+    monkeypatch.setattr(sdpse.cli, "build_matrix_set", counted)
+    monkeypatch.setattr(sdpse.problem, "build_matrix_set", counted)
+    res = run_cli(
+        ["estimate", "--network", str(workdir["net"]),
+         "--measurements", str(synth0),
+         "--anchors", str(workdir["anchors"]),
+         "--out", str(workdir["root"] / "est_builds")]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(builds) == 1
+
+
 def test_observability_command(workdir, synth0):
     out = workdir["root"] / "obs"
     res = run_cli(

@@ -27,7 +27,7 @@ from sdpse.solver import (
     SolverConfig,
     _chol,
     _cone,
-    _dual_bound,
+    _best_bound,
     _eigs,
     _factor_spd,
     _interior_point,
@@ -450,23 +450,56 @@ def test_newton_step_matches_dense_newton(doc, steps):
             close(got, ref, 1e-8, 1e-8)
 
 
-def test_dual_bound_needs_a_psd_certificate():
-    model, mats, V, prob, report = solve_chain()
+def vmag_certificate(model, prob):
+    """The dense term table of the chain and an r whose lambda = 2 w o r is
+    -1 on the Vmag rows and 0 elsewhere.  Each Vmag A_i is PSD and every
+    node has a Vmag reading in the full plan, so -A^*(lambda) is positive
+    definite."""
     keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
     terms = _Terms(prob, keep)
-    w, z = 1.0 / prob.sigma**2, prob.z
-    # Each Vmag A_i is PSD, so lambda < 0 on the Vmag rows and 0 elsewhere
-    # makes -A^*(lambda) PSD, and every node has a Vmag reading in the full
-    # plan, so it is positive definite.
+    w = 1.0 / prob.sigma**2
     vmag = np.array([m.kind == "Vmag" for m in prob.measurements])
     assert vmag.sum() == model.n_nodes
-    r = np.where(vmag, -1.0, 0.0) / (2.0 * w)
+    return terms, w, np.where(vmag, -1.0, 0.0) / (2.0 * w)
+
+
+def plain_bound(w, z, r):
     lam = 2.0 * w * r
-    bound = _dual_bound(terms, w, z, r)
-    ref = float(lam @ z - np.sum(lam**2 / (4.0 * w)))
-    assert bound == pytest.approx(ref, rel=1e-12)
+    return float(lam @ z - np.sum(lam**2 / (4.0 * w)))
+
+
+def test_dual_bound_needs_a_psd_certificate():
+    model, mats, V, prob, report = solve_chain()
+    terms, w, r = vmag_certificate(model, prob)
+    z = prob.z
+    bound = _best_bound(terms, w, z, [r])
+    assert bound == pytest.approx(plain_bound(w, z, r), rel=1e-12)
     assert bound <= report.objective
-    assert np.isnan(_dual_bound(terms, w, z, -r))
+    # lambda > 0 on the Vmag rows makes -A^*(lambda) negative definite.
+    assert np.isnan(_best_bound(terms, w, z, [-r]))
+    assert np.isnan(_best_bound(terms, w, z, []))
+
+
+def test_best_bound_tries_the_highest_candidate_first():
+    model, mats, V, prob, report = solve_chain()
+    terms, w, r = vmag_certificate(model, prob)
+    z = prob.z
+    # -r has the highest bound and no certificate; r / 2 is certified and
+    # beats r; 2 r is certified and lowest.
+    values = [plain_bound(w, z, c) for c in (-r, r / 2, r, 2 * r)]
+    assert values == sorted(values, reverse=True)
+    calls = []
+    psd = terms.psd
+    terms.psd = lambda X: calls.append(1) or psd(X)
+    for order in ([r, 2 * r, -r, r / 2], [r / 2, -r, 2 * r, r]):
+        calls.clear()
+        bound = _best_bound(terms, w, z, order)
+        assert bound == pytest.approx(values[1], rel=1e-12)
+        assert len(calls) == 2
+    calls.clear()
+    assert _best_bound(terms, w, z, [r, r / 2]) == pytest.approx(values[1], rel=1e-12)
+    assert len(calls) == 1
+    assert np.isnan(_best_bound(terms, w, z, [-r, -2 * r]))
 
 
 def eigenvector_misfit(prob, W):
@@ -489,6 +522,26 @@ def radial_problem(truth_seed, level, noise_seed, vmag_nodes=None):
     )
     meas, _ = repair_observability(model, mats, meas, "negate")
     return assemble_problem(mats, meas, anchors=[0])
+
+
+def test_polish_ends_where_gauss_newton_predicts_no_descent():
+    # One more Gauss-Newton step from the polished state, built from the
+    # dense A_i: its predicted decrease gT H^-1 g is at rounding level.
+    prob = radial_problem(2, 2, 0)
+    report = solve(prob)
+    n = prob.dim // 2
+    keep = np.array([i for i in range(prob.dim) if i != n + prob.anchors[0]])
+    X = report.polished_X[keep]
+    A = np.stack([reduced_dense(prob, keep, i) for i in range(len(prob.z))])
+    w = 1.0 / prob.sigma**2
+    r = prob.z - np.einsum("a,iab,b->i", X, A, X)
+    assert float(w @ (r * r)) == pytest.approx(report.objective, rel=1e-9)
+    J = -2.0 * (A @ X)
+    g = J.T @ (w * r)
+    H = J.T @ (w[:, None] * J)
+    step = np.linalg.solve(H, -g)
+    pred = -(2.0 * g @ step + step @ H @ step)
+    assert pred <= 1e-12 * report.objective
 
 
 @pytest.mark.parametrize("noise_seed", range(5))
