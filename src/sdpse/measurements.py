@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .network import NetworkModel, parse_number, require_object
+from .network import NetworkModel, parse_number, parse_phase, require_object
 from .rand import normal_stream, subseed
 from .sdpmat import MeasurementMatrixSet, PairData
 
@@ -410,10 +410,12 @@ def measurements_from_doc(model: NetworkModel, doc: list) -> List[Measurement]:
             raise ValidationError(f"measurement {i}: unknown keys {sorted(extra)}")
         try:
             kind = rec["kind"]
-            node = model.node_of(str(rec["bus"]), rec.get("phase", "A"))
+            phase = parse_phase(rec.get("phase", "A"), f"measurement {i}: phase")
+            node = model.node_of(str(rec["bus"]), phase)
             far = None
             if "to_bus" in rec:
-                far = model.node_of(str(rec["to_bus"]), rec.get("to_phase", "A"))
+                to_phase = parse_phase(rec.get("to_phase", "A"), f"measurement {i}: to_phase")
+                far = model.node_of(str(rec["to_bus"]), to_phase)
             out.append(
                 Measurement(
                     kind=kind,
@@ -472,7 +474,8 @@ def state_from_doc(model: NetworkModel, doc: list) -> np.ndarray:
         if extra:
             raise ValidationError(f"state record {i}: unknown keys {sorted(extra)}")
         try:
-            idx = model.node_of(str(rec["bus"]), rec.get("phase", "A"))
+            phase = parse_phase(rec.get("phase", "A"), f"state record {i}: phase")
+            idx = model.node_of(str(rec["bus"]), phase)
             mag = parse_number(rec["mag_pu"], f"state record {i}: mag_pu")
             angle = parse_number(rec["angle_deg"], f"state record {i}: angle_deg")
             V[idx] = mag * np.exp(1j * np.radians(angle))

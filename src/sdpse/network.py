@@ -199,6 +199,15 @@ def parse_number(value, where: str, finite: bool = True) -> float:
     return out
 
 
+def parse_phase(value, where: str) -> str:
+    """A phase name read from an input file; ValidationError naming the
+    field (``where``) unless it is a string, so that a list or a number
+    fails as bad input rather than in a lookup."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a phase name A, B or C, got {value!r}")
+    return value
+
+
 def parse_bool(value, where: str) -> bool:
     """A JSON boolean; ValidationError naming the record (``where``) for
     anything else, so that the string ``"false"`` is not read as true."""
@@ -249,7 +258,12 @@ def parse_network(document: dict) -> NetworkModel:
         if bid in seen_buses:
             raise ValidationError(f"duplicate bus id {bid!r}")
         seen_buses.add(bid)
-        phases = tuple(sorted(set(raw["phases"])))
+        phases = raw["phases"]
+        if not isinstance(phases, list) or not all(isinstance(p, str) for p in phases):
+            raise ValidationError(
+                f"bus {bid!r}: phases must be an array of A/B/C, got {phases!r}"
+            )
+        phases = tuple(sorted(set(phases)))
         if not phases or any(p not in PHASES for p in phases):
             raise ValidationError(f"bus {bid!r}: phases must be a non-empty subset of A/B/C")
         base_kv = parse_number(raw.get("base_kV", 1.0), f"bus {bid!r}: base_kV")
@@ -281,7 +295,7 @@ def parse_network(document: dict) -> NetworkModel:
         require_object(endpoint, where)
         _reject_unknown(endpoint, _ENDPOINT_KEYS, where)
         bus = str(endpoint.get("bus"))
-        phase = endpoint.get("phase", "A")
+        phase = parse_phase(endpoint.get("phase", "A"), f"{where}: phase")
         if bus not in bus_by_id:
             raise ValidationError(f"{where}: unknown bus {bus!r}")
         if (bus, phase) not in node_index:

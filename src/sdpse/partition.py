@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import (
 
 from .errors import SdpseError, ValidationError
 from .measurements import Measurement
-from .network import NetworkModel, edge_graph, restrict
+from .network import NetworkModel, edge_graph, parse_phase, restrict
 from .problem import EstimationResult, estimate
 from .solver import SolverConfig
 
@@ -90,9 +90,8 @@ def anchor_from_doc(rec, where: str, default_sub: Optional[int] = None) -> Ancho
         )
     if not math.isfinite(ref):
         raise ValidationError(f"{where}: ref_angle_deg must be finite")
-    return Anchor(
-        sub=sub, bus=str(rec["bus"]), phase=rec.get("phase", "A"), ref_angle_deg=ref
-    )
+    phase = parse_phase(rec.get("phase", "A"), f"{where}: phase")
+    return Anchor(sub=sub, bus=str(rec["bus"]), phase=phase, ref_angle_deg=ref)
 
 
 def plan_from_doc(doc: dict) -> PartitionPlan:

@@ -64,12 +64,18 @@ shared.
   set W_K[J, J] = W_parent[J, J] (b = 0), and one pin row per anchor sets
   its pad's diagonal to the start's 0.1.  Flipping the sign of every pad
   coordinate maps the problem onto itself, so the pads stay decoupled and
-  the solution on the kept indices is that of the relaxation.  G (order m +
-  h) sums vec(C_i)^T (What_K kron What_K) vec(C_j) over the cliques K, NT
-  scaling and the step to the boundary run on the stack of blocks, and the
-  dual bound needs a Cholesky factor of every block of -A^*(lambda) -
-  B^*(y).  The report's W is the max-determinant completion of the blocks
-  along the clique tree, without the pads.
+  the solution on the kept indices is that of the relaxation.  G (order N =
+  m + h) sums vec(C_i)^T (What_K kron What_K) vec(C_j) over the cliques K,
+  so rows i and j meet only on a block they share: G keeps the sparsity of
+  the clique tree, and its pattern is fixed per solve.  The rows are
+  ordered once per solve by reverse Cuthill-McKee on that pattern, in which
+  G is a band of width b << N (18 on the 34-bus tree, 42 at 1000 buses, 56
+  at 3000), so G is built straight into LAPACK's lower band storage, (b + 1)
+  x N, and factored and solved with ``dpbtrf``/``dpbtrs``: no N x N array,
+  O(N b^2) work per factor.  NT scaling and the step to the boundary run on
+  the stack of blocks, and the dual bound needs a Cholesky factor of every
+  block of -A^*(lambda) - B^*(y).  The report's W is the max-determinant
+  completion of the blocks along the clique tree, without the pads.
 
 At an iterate whose dual residual meets the stopping rule, lambda = 2 w o r
 gives the dual bound ``lambda . z - sum_i lambda_i^2 / (4 w_i) + y . b``
@@ -101,8 +107,8 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs, dstebz, dsyevd, dsytrd
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dstebz, dsyevd, dsytrd
+from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
 
 from .errors import ValidationError
 from .network import edge_graph
@@ -111,7 +117,8 @@ if TYPE_CHECKING:
     from .problem import SdpProblem
 
 # The clique cone is used on tree-shaped problems of reduced dimension d at
-# least this; below it the dense cone is faster (measured: _branch_cliques).
+# least this, the crossover measured with a dense Schur factor on both cones
+# (the banded one moved it lower: _branch_cliques).
 CLIQUE_MIN_DIM = 39
 
 # The per-unit start's diagonal; the clique cone pins its pads to it, so
@@ -274,6 +281,15 @@ class _Terms(_Cone):
         K = (self.M @ W)[:, self.sup]
         return self.Sel @ (self.Sel @ (K * K.T)).T
 
+    def factor_schur(self, G: np.ndarray, shift: np.ndarray) -> Optional[np.ndarray]:
+        """The factor of G plus ``shift`` on the diagonal of the first rows
+        (G is changed), for ``solve_schur``."""
+        _diagonal(G)[: len(shift)] += shift
+        return _factor_spd(G)
+
+    def solve_schur(self, F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return dpotrs(F, rhs, lower=1)[0]
+
     def quad_values(self, X: np.ndarray) -> np.ndarray:
         """X^T A_i X for all i."""
         return np.bincount(
@@ -321,24 +337,28 @@ def _branch_cliques(
 
     The clique cone is used when the node graph of the terms is a tree with
     an anchor and ``d >= CLIQUE_MIN_DIM``: the rule reads only the problem.
-    Median time per solve in ms (one BLAS thread, 2-core x86-64 host, 6
-    noise draws x 5 repeats) on ``tree_doc(n, seed=7, trunk_bias=3)``, its
-    one-sided plan with magnitudes at 5 buses, negate repair, L2:
+    Median time per solve in ms with the banded Schur factor (one BLAS
+    thread, 2-core x86-64 host, 6 noise draws x 5 repeats) on
+    ``tree_doc(n, seed=7, trunk_bias=3)``, truth seed 100, its one-sided
+    plan with magnitudes at 5 evenly spaced buses, negate repair, L2:
 
         buses   d   tol 1e-2 dense / clique   tol 1e-9 dense / clique
-         10    19        10.3 / 17.8                  -
-         14    27        14.4 / 19.8                  -
-         16    31        18.0 / 21.9              23.1 / 26.5
-         18    35        27.8 / 21.7              35.1 / 39.0
-         19    37        28.8 / 21.6              33.4 / 37.2
-         20    39        30.4 / 22.2              44.2 / 33.2
-         22    43        38.0 / 24.6              52.6 / 39.9
-         24    47        45.8 / 28.2              57.5 / 36.8
-         34    67       110.2 / 42.1             140.4 / 59.5
-         40    79       167.0 / 54.4                  -
+         10    19         6.0 /  7.0               8.6 /  9.1
+         14    27         9.5 /  8.1              12.2 / 10.6
+         16    31        13.1 /  8.5              15.9 / 11.7
+         18    35        18.0 /  8.6              24.2 / 11.6
+         19    37        19.9 /  9.3              27.2 / 11.4
+         20    39        22.5 / 10.6              30.0 / 12.9
+         22    43        30.3 / 12.0              36.9 / 14.1
+         24    47        33.2 / 10.2              48.8 / 13.5
+         34    67        79.3 / 14.0             109.5 / 18.5
+         40    79       121.8 / 17.3             160.8 / 24.1
 
-    A repeat at 17-21 buses moved d = 35 and 37 to either side (clique /
-    dense 0.8-1.1); d = 39 won in every run, so the rule starts there.
+    A repeat gave the same sides from d = 27 up; at d = 19 it was a tie at
+    tol 1e-2 and the clique cone won at tol 1e-9.  So the crossover now lies
+    near d = 27, below the threshold of 39 measured when the clique cone's
+    Schur factor was dense.  The threshold is kept: moving it moves problems
+    between the cones, a change to be measured on its own.
 
     Returns, per clique in breadth-first order from the first anchor, its
     child node a, its parent node and its parent clique (-1 for the first);
@@ -445,6 +465,14 @@ class _CliqueTerms(_Cone):
     themselves, so the central path keeps each pad decoupled, zero beside
     its diagonal, and on the kept indices it is that of the blocks without
     pads.
+
+    The Schur matrix G is band-stored: its rows are taken in ``_perm``, the
+    reverse Cuthill-McKee order of its fixed pattern, and ``gram`` sums each
+    product of two entries of one block straight into its slot of the lower
+    band, ``(bandwidth + 1) x N`` in LAPACK's layout.  ``factor_schur`` adds
+    Sigma/2 at each reading's place on the band's diagonal and factors with
+    ``dpbtrf``; ``solve_schur`` permutes the right-hand side, calls
+    ``dpbtrs`` and permutes back.
     """
 
     def __init__(
@@ -494,8 +522,19 @@ class _CliqueTerms(_Cone):
         pf = np.repeat(first, count) + (
             np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         )
-        self._cell = erow[pe] * N + erow[pf]
-        self._gpos = (eblk[pe] * rmax + li[pe]) * rmax + li[pf]
+        # The pairs' cells are G's pattern.  In its reverse Cuthill-McKee
+        # order only the products on or below the diagonal are kept, G[i, j]
+        # (i >= j in that order) at [i - j, j] of the band storage.
+        gi, gj = erow[pe], erow[pf]
+        pattern = sp.csr_matrix((np.ones(len(gi)), (gi, gj)), shape=(N, N))
+        self._perm = perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        self._at = at = np.empty(N, dtype=np.intp)
+        at[perm] = np.arange(N)
+        gi, gj = at[gi], at[gj]
+        lower = gi >= gj
+        self.bandwidth = bw = int((gi - gj)[lower].max())
+        self._cell = (gj * (bw + 1) + gi - gj)[lower]
+        self._gpos = ((eblk[pe] * rmax + li[pe]) * rmax + li[pf])[lower]
         # For the completion: the slots in breadth-first node order (the
         # root's two, then each clique's child node's two) of every
         # clique's parent node and of every reduced index.
@@ -507,11 +546,24 @@ class _CliqueTerms(_Cone):
     def gram(self, W: np.ndarray, R: np.ndarray) -> np.ndarray:
         """G[i, j] = sum over cliques K of Tr(C_i^K What_K C_j^K What_K) =
         vec(C_i^K)^T (What_K kron What_K) vec(C_j^K), for every pair of
-        entries of one block at once, scattered into G."""
+        entries of one block at once, scattered into G's lower band: G in
+        LAPACK's lower band storage, rows and columns in ``_perm`` order."""
         kron = (W[:, :, None, :, None] * W[:, None, :, None, :]).reshape(-1, 16, 16)
         vals = (self._V @ kron @ self._V.swapaxes(1, 2)).take(self._gpos)
-        N = self.n_rows
-        return np.bincount(self._cell, vals, minlength=N * N).reshape(N, N)
+        rows = self.bandwidth + 1
+        out = np.bincount(self._cell, vals, minlength=rows * self.n_rows)
+        return out.reshape(self.n_rows, rows).T
+
+    def factor_schur(self, G: np.ndarray, shift: np.ndarray) -> Optional[np.ndarray]:
+        """The banded factor of the band-stored G plus ``shift`` on the
+        diagonal of the first rows (G is changed), for ``solve_schur``."""
+        G[0, self._at[: len(shift)]] += shift
+        return _factor_spd(G, band=True)
+
+    def solve_schur(self, F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        x = np.empty_like(rhs)
+        x[self._perm] = dpbtrs(F, rhs[self._perm], lower=1)[0]
+        return x
 
     def restrict(self, W: np.ndarray) -> np.ndarray:
         """The clique blocks of a reduced d x d matrix, each pad 0.1 on its
@@ -599,25 +651,40 @@ def _stack_chol(X: np.ndarray) -> Optional[np.ndarray]:
     return L
 
 
-def _factor_spd(M: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of an SPD matrix, for ``dpotrs``, with
-    escalating diagonal regularization on failure; None when even that fails.
+def _band_chol(M: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of a matrix in LAPACK's lower band storage
+    (``M[k, j]`` the entry at row j + k, column j), in the same storage; None
+    when it is not numerically positive definite or not finite.  This is
+    ``dpbtrf``, whose pivot test lets a NaN pass as ``dpotrf``'s does; every
+    band entry below the diagonal reaches a later diagonal entry of the
+    factor, row 0, which is checked instead."""
+    L, info = dpbtrf(M, lower=1)
+    if info != 0 or not np.isfinite(L[0]).all():
+        return None
+    return L
+
+
+def _factor_spd(M: np.ndarray, band: bool = False) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of an SPD matrix, dense (for ``dpotrs``) or in
+    LAPACK's lower band storage (``band``, for ``dpbtrs``), with escalating
+    diagonal regularization on failure; None when even that fails.
 
     When M has no factor, up to seven retries add a jitter growing from
-    1e-14 of M's mean diagonal (at least 1e-14) by 100x each to a copy's
-    diagonal."""
-    L = _chol(M)
+    1e-14 of M's mean diagonal (at least 1e-14) by 100x each to its
+    diagonal, which is restored afterwards."""
+    chol = _band_chol if band else _chol
+    L = chol(M)
     if L is None:
-        n = len(M)
-        jitter = 1e-14 * max(np.trace(M) / max(n, 1), 1.0)
-        Mj = M.copy()
-        diag = M.diagonal()
+        diag = M[0] if band else _diagonal(M)
+        base = diag.copy()
+        jitter = 1e-14 * max(base.sum() / max(len(base), 1), 1.0)
         for _ in range(7):
-            Mj.flat[:: n + 1] = diag + jitter
-            L = _chol(Mj)
+            diag[...] = base + jitter
+            L = chol(M)
             if L is not None:
                 break
             jitter *= 100.0
+        diag[...] = base
     return L
 
 
@@ -651,11 +718,8 @@ def _linearize(
         return None
     R, lam = scaling
     Wh = R @ R.swapaxes(-1, -2)
-    G = op.gram(Wh, R)
     # Sigma/2 on the readings' rows; the hard rows have none.
-    m, N = len(w), len(G)
-    G.flat[: m * (N + 1) : N + 1] += 0.5 / w
-    F = _factor_spd(G)
+    F = op.factor_schur(op.gram(Wh, R), 0.5 / w)
     if F is None:
         return None
     rhs0 = Rp - op.values(Wh @ Rd @ Wh)
@@ -663,7 +727,7 @@ def _linearize(
     def direction(K, AK: Optional[np.ndarray] = None) -> Direction:
         if AK is None:
             AK = op.values(R @ K @ R.swapaxes(-1, -2))
-        dlam = dpotrs(F, rhs0 - AK, lower=1)[0]
+        dlam = op.solve_schur(F, rhs0 - AK)
         dS = -op.accumulate(dlam) - Rd
         dSt = R.swapaxes(-1, -2) @ dS @ R
         return K - dSt, dSt, dS, op.r_step(dlam, w)

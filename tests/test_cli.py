@@ -306,6 +306,58 @@ def test_non_object_record_in_state_exits_2(workdir, record):
     assert "state record 2 must be a JSON object" in res.output
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["buses"][2].update(phases=1), "bus 'b2': phases must be an array"),
+        (lambda d: d["branches"][1]["to"].update(phase=["A"]),
+         "branch 'l1' to: phase must be a phase name"),
+    ],
+    ids=["bus-phases-number", "endpoint-phase-list"],
+)
+def test_wrongly_typed_phase_in_network_exits_2(workdir, synth0, edit, message):
+    doc = netgen.chain_doc(6, seed=17)
+    edit(doc)
+    bad = workdir["root"] / "bad_phase_net.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["observability", "--network", str(bad),
+         "--measurements", str(synth0),
+         "--out", str(workdir["root"] / "obs_bad_phase")]
+    )
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+@pytest.mark.parametrize("key", ["phase", "to_phase"])
+def test_wrongly_typed_phase_in_measurements_exits_2(workdir, synth0, key):
+    doc = json.loads(synth0.read_text())
+    i = next(k for k, rec in enumerate(doc) if "to_bus" in rec)
+    doc[i][key] = ["A"]
+    bad = workdir["root"] / "bad_phase_meas.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["observability", "--network", str(workdir["net"]),
+         "--measurements", str(bad),
+         "--out", str(workdir["root"] / "obs_bad_phase_meas")]
+    )
+    assert res.exit_code == 2
+    assert f"measurement {i}: {key} must be a phase name" in res.output
+
+
+def test_wrongly_typed_phase_in_state_exits_2(workdir):
+    doc = json.loads(workdir["truth"].read_text())
+    doc[2]["phase"] = ["A"]
+    bad = workdir["root"] / "bad_phase_state.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(
+        ["synth", "--network", str(workdir["net"]), "--state", str(bad),
+         "--noise-level", "0", "--out", str(workdir["root"] / "synth_bad_phase")]
+    )
+    assert res.exit_code == 2
+    assert "state record 2: phase must be a phase name" in res.output
+
+
 def test_monolithic_estimate_builds_the_matrix_set_once(workdir, synth0, monkeypatch):
     import sdpse.cli
     import sdpse.problem
@@ -487,8 +539,12 @@ def test_synth_zero_injection_buses(workdir):
         ({"sub_networks": [["b0", "b1", "b2", "b3", "b4", "b5"]], "policy": "merge"},
          None, "plan policy"),
         (None, [{"phase": "A"}], "anchors file: missing key 'bus'"),
+        (None, [{"bus": "b0", "phase": ["A"]}], "anchors file: phase must be a phase name"),
     ],
-    ids=["empty-sub", "anchor-no-bus", "bad-angle", "bad-policy", "anchors-file-no-bus"],
+    ids=[
+        "empty-sub", "anchor-no-bus", "bad-angle", "bad-policy", "anchors-file-no-bus",
+        "anchors-file-phase-list",
+    ],
 )
 def test_estimate_malformed_plan_or_anchors_exits_2(
     workdir, synth0, plan_doc, anchors_doc, message

@@ -25,6 +25,7 @@ from sdpse.measurements import (
     repair_observability,
     save_measurements,
     save_state,
+    state_from_doc,
     state_to_X,
     synthesize,
 )
@@ -227,6 +228,24 @@ def test_measurement_doc_rejects_unknown_keys(chain6):
     doc[0]["quality"] = "good"
     with pytest.raises(ValidationError, match="unknown keys"):
         measurements_from_doc(model, doc)
+
+
+@pytest.mark.parametrize("key", ["phase", "to_phase"])
+def test_measurement_doc_rejects_wrongly_typed_phase(chain6, key):
+    model, _ = chain6
+    doc = measurements_to_doc(
+        model, [Measurement("P_flow", 0, 0.1, 0.01, far_node=1)]
+    )
+    doc[0][key] = ["A"]
+    with pytest.raises(ValidationError, match=f"measurement 0: {key} must be a phase name"):
+        measurements_from_doc(model, doc)
+
+
+def test_state_doc_rejects_wrongly_typed_phase(chain6):
+    model, _ = chain6
+    doc = [{"bus": "b0", "phase": ["A"], "mag_pu": 1.0, "angle_deg": 0.0}]
+    with pytest.raises(ValidationError, match="state record 0: phase must be a phase name"):
+        state_from_doc(model, doc)
 
 
 def test_state_doc_roundtrip_and_missing_node(tmp_path, chain6):

@@ -161,6 +161,26 @@ def test_bad_phase_letter_rejected():
         parse_network(doc)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["buses"][1].update(phases=1), "bus 'b1': phases must be an array"),
+        (lambda d: d["buses"][1].update(phases="A"), "bus 'b1': phases must be an array"),
+        (lambda d: d["buses"][1].update(phases=[["A"]]), "bus 'b1': phases must be an array"),
+        (lambda d: d["branches"][0]["to"].update(phase=["A"]),
+         "branch 'l0' to: phase must be a phase name"),
+        (lambda d: d["branches"][0]["from"].update(phase=1),
+         "branch 'l0' from: phase must be a phase name"),
+    ],
+    ids=["phases-number", "phases-text", "phases-nested", "endpoint-list", "endpoint-number"],
+)
+def test_wrongly_typed_phase_rejected(edit, message):
+    doc = netgen.chain_doc(4)
+    edit(doc)
+    with pytest.raises(ValidationError, match=message):
+        parse_network(doc)
+
+
 def test_load_network_invalid_json(tmp_path):
     p = tmp_path / "net.json"
     p.write_text("{not json")

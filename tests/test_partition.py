@@ -255,6 +255,11 @@ def test_anchors_file_record_needs_bus_not_sub():
         anchor_from_doc({"sub": 0, "phase": "A"}, "anchors file", default_sub=-1)
 
 
+def test_anchor_record_rejects_wrongly_typed_phase():
+    with pytest.raises(ValidationError, match="^plan anchor: phase must be a phase name"):
+        anchor_from_doc({"sub": 0, "bus": "b0", "phase": ["A"]}, "plan anchor")
+
+
 def test_validate_plan_rejects_empty_sub_network():
     model = netgen.model_from(netgen.chain_doc(4))
     with pytest.raises(ValidationError, match="^sub-network 1 is empty$"):

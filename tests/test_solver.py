@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpbtrs, dpotrs
 
 import netgen
 from sdpse.errors import RankRecoveryError, SolverError, ValidationError
@@ -27,6 +27,7 @@ from sdpse.solver import (
     SolverConfig,
     _chol,
     _cone,
+    _band_chol,
     _best_bound,
     _eigs,
     _factor_spd,
@@ -683,6 +684,57 @@ def test_non_finite_matrix_has_no_factor(where):
     assert _factor_spd(M) is None
 
 
+def band_of(M, bandwidth):
+    """The lower band of M in LAPACK's lower band storage: ``[k, j]`` holds
+    ``M[j + k, j]``."""
+    n = len(M)
+    out = np.zeros((bandwidth + 1, n))
+    for k in range(bandwidth + 1):
+        out[k, : n - k] = M.diagonal(-k)
+    return out
+
+
+@pytest.mark.parametrize("bandwidth", [2, 11])
+def test_band_factor_matches_dense_solve(bandwidth):
+    rng = np.random.default_rng(8)
+    B = rng.normal(size=(12, 12))
+    M = np.tril(np.triu(B + B.T, -bandwidth), bandwidth) + 24.0 * np.eye(12)
+    b = rng.normal(size=12)
+    x = dpbtrs(_factor_spd(band_of(M, bandwidth), band=True), b, lower=1)[0]
+    np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=1e-12)
+
+
+def test_band_factor_regularizes_rank_deficient():
+    # As test_solve_spd_regularizes_rank_deficient, on band storage; the
+    # jitter goes onto the band's diagonal row and comes off again.
+    v = np.array([1.0, 2.0, 3.0])
+    M = np.outer(v, v)
+    Mb = band_of(M, 2)
+    assert _band_chol(Mb) is None
+    b = M @ np.array([0.5, -1.0, 2.0])
+    F = _factor_spd(Mb, band=True)
+    assert F is not None
+    np.testing.assert_array_equal(Mb, band_of(M, 2))
+    x = dpbtrs(F, b, lower=1)[0]
+    assert np.all(np.isfinite(x))
+    np.testing.assert_allclose(M @ x, b, atol=1e-6)
+
+
+def test_indefinite_band_matrix_has_no_factor():
+    M = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.2], [0.0, 0.2, 3.0]])
+    assert _band_chol(band_of(M, 1)) is None
+    assert _factor_spd(band_of(M, 1), band=True) is None
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", [(1, 1), (2, 0)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_band_matrix_has_no_factor(where, value):
+    M = random_pd(4, 10)
+    M[where] = M[where[::-1]] = value
+    assert _band_chol(band_of(M, 3)) is None
+    assert _factor_spd(band_of(M, 3), band=True) is None
+
+
 def test_non_pd_initial_w_falls_back_to_identity():
     model, mats, V, prob, _ = solve_chain(n=4, seed=6)
     dim = prob.dim
@@ -724,14 +776,14 @@ def test_repeated_solve_is_deterministic():
     assert first.status == second.status
 
 
-def c05_problem(level, noise_seed):
-    """The 102-bus tree of the c05 study (truth seed 100, magnitudes at b0,
-    b25, b50, b75 and b100), one-sided plan without the tie flows, negate
-    repair."""
-    model = netgen.model_from(netgen.tree_doc(102, seed=7, trunk_bias=3))
+def tree_problem(n, level, noise_seed):
+    """The n-bus tree of the c05 study (``tree_doc(n, seed=7,
+    trunk_bias=3)``, truth seed 100, magnitudes at every 25th bus from b0),
+    one-sided plan without the tie flows, negate repair."""
+    model = netgen.model_from(netgen.tree_doc(n, seed=7, trunk_bias=3))
     mats = build_matrix_set(model)
     V = netgen.random_state(model, seed=100)
-    vm = sorted({model.node_of(f"b{i}", "A") for i in (0, 25, 50, 75, 100)})
+    vm = sorted({model.node_of(f"b{i}", "A") for i in range(0, n, 25)})
     meas = synthesize(
         model, mats, state_to_X(V), default_plan(model, mats, vm),
         NoiseSpec(level=level, seed=noise_seed),
@@ -762,7 +814,7 @@ def anchored_problem(anchors):
     "make",
     [
         lambda: radial_problem(2, 2, 0),
-        lambda: c05_problem(2, 1),
+        lambda: tree_problem(102, 2, 1),
         lambda: anchored_problem([0, 1, 10]),
     ],
     ids=["tree34", "tree102", "tree34-3-anchors"],
@@ -855,6 +907,60 @@ def test_clique_rule_threshold():
         report = solve(assemble_problem(mats, meas, anchors=[0]))
         assert report.status == "converged"
         assert report.blocks == blocks
+
+
+def test_clique_schur_band_matches_dense_reference():
+    # At a mid-run iterate of the 34-bus tree, the band-stored Schur matrix
+    # against sum_K Tr(C_i^K W_K C_j^K W_K) from the dense 4 x 4
+    # coefficient matrix of every row on every block, and its banded solve
+    # against a dense one.
+    prob = radial_problem(2, 2, 0)
+    _, _, op = _cone(prob)
+    w = 1.0 / prob.sigma**2
+    W = _interior_point(op, w, prob.z, op.identity(0.1), 1e-9, 8)[0]
+    N, m, bw = op.n_rows, len(w), op.bandwidth
+    C = np.zeros((N, op.blocks * 16))
+    np.add.at(C, (op.row, op.flat), op.c)
+    CW = C.reshape(N, op.blocks, 4, 4) @ W
+    ref = np.einsum("ikab,jkba->ij", CW, CW)
+    band = op.gram(W, None)
+    assert band.shape == (bw + 1, N)
+    assert bw == 18
+    # Expanded: the band in RCM order, mirrored, then put back in row order.
+    Gp = np.zeros((N, N))
+    for k in range(bw + 1):
+        j = np.arange(N - k)
+        Gp[j + k, j] = band[k, : N - k]
+    Gp += np.tril(Gp, -1).T
+    G = np.empty((N, N))
+    G[np.ix_(op._perm, op._perm)] = Gp
+    np.testing.assert_allclose(G, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    # With Sigma/2 on the readings' rows the matrix's condition number is
+    # about 3e10 here, so the two solves agree to about that times the
+    # rounding, against the largest entry (measured 7e-8).
+    rhs = np.random.default_rng(3).normal(size=N)
+    x = op.solve_schur(op.factor_schur(band, 0.5 / w), rhs)
+    ref[np.arange(m), np.arange(m)] += 0.5 / w
+    x_ref = np.linalg.solve(ref, rhs)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-6 * np.abs(x_ref).max())
+
+
+def test_clique_schur_storage_at_1000_buses():
+    # N = m + h = 6034 rows; the RCM band is 42 wide, so the Schur storage
+    # is 43 x 6034, not 6034 x 6034.  Construction only.
+    prob = tree_problem(1000, 2, 0)
+    _, _, op = _cone(prob)
+    assert (op.blocks, op.n_rows) == (999, 6034)
+    assert op.bandwidth <= 64
+    assert op.gram(op.identity(0.1), None).shape == (op.bandwidth + 1, op.n_rows)
+
+
+def test_clique_solve_at_400_buses():
+    # The 400-bus tree: about half a second on one core.
+    report = solve(tree_problem(400, 2, 0), SolverConfig(convergence_tol=1e-2))
+    assert report.blocks == 399
+    assert report.status == "converged"
+    assert report.dual_bound <= report.objective
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-2])
