@@ -26,9 +26,9 @@ import numpy as np
 from .errors import BudgetExceededError, SolverError, ValidationError
 from .measurements import Measurement, state_to_X
 from .network import NetworkModel
-from .problem import EstimationResult, estimate, lifted_readings
+from .problem import EstimationResult, estimate, finish, lifted_readings, prepare
 from .sdpmat import MeasurementMatrixSet
-from .solver import SolverConfig
+from .solver import SolverConfig, solve_many
 
 SIGMA2_FLOOR = 1e-18
 
@@ -197,7 +197,9 @@ def identify_and_reestimate(
     max_combinations: int = 256,
 ) -> Tuple[List[int], EstimationResult, int]:
     """Try every one-culprit-per-suspect-set combination; keep the one whose
-    re-estimate best fits the untouched measurements.
+    re-estimate best fits the untouched measurements.  Every feasible
+    combination is prepared, all are solved in one ``solve_many`` call, then
+    each is finished and scored; one whose solve fails is skipped.
 
     Returns (culprit indices, winning estimate, combinations evaluated).
     """
@@ -213,10 +215,8 @@ def identify_and_reestimate(
         )
 
     meas_list = list(measurements)
-    best: Optional[Tuple[float, List[int], EstimationResult]] = None
-    evaluated = 0
+    trials = []
     for combo in itertools.product(*(s.members for s in suspects)):
-        chosen = sorted(set(combo))
         trial = list(meas_list)
         feasible = True
         for s, target in zip(suspects, combo):
@@ -225,13 +225,15 @@ def identify_and_reestimate(
                 feasible = False
                 break
             trial[target] = rep
-        if not feasible:
-            continue
-        evaluated += 1
-        try:
-            result = estimate(
-                model, trial, anchors, config, repair_method="negate", mats=mats
+        if feasible:
+            trials.append(
+                (sorted(set(combo)), prepare(model, trial, anchors, "negate", mats))
             )
+    reports = solve_many([problem for _, (problem, _) in trials], config)
+    best: Optional[Tuple[float, List[int], EstimationResult]] = None
+    for (chosen, (problem, repair_log)), report in zip(trials, reports):
+        try:
+            result = finish(problem, report, repair_log)
         except SolverError:
             continue
         err = _fit_error(mats, meas_list, result, exclude=set(chosen))
@@ -239,7 +241,7 @@ def identify_and_reestimate(
             best = (err, chosen, result)
     if best is None:
         raise SolverError("every replacement combination failed to solve")
-    return best[1], best[2], evaluated
+    return best[1], best[2], len(trials)
 
 
 def _fit_error(

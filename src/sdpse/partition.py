@@ -5,9 +5,13 @@ Every graph question here is a ``scipy.sparse.csgraph`` call on the model's
 bus graph.  Separation works on the bus-level spanning tree rooted at the
 feeder head: the subtree whose size best matches the target is carved off
 repeatedly, and the leftover fragment around the root becomes the final
-sub-network.  Each sub-network is estimated by ``estimate``, as a whole
-network would be, with its anchor node's angle fixed to zero, then rotated
-by the anchor's reference angle and merged.
+sub-network.  Each sub-network is estimated as ``estimate`` estimates a
+whole network, with its anchor node's angle fixed to zero, then rotated by
+the anchor's reference angle and merged.  The estimate's three steps run
+across the plan: every sub-network is prepared (restricted, gated, repaired,
+assembled) before any is solved, all are solved in one ``solve_many`` call
+(so tree-shaped sub-networks share one interior-point loop on one forest of
+clique blocks), and each is finished on its own.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from scipy.sparse.csgraph import (
 from .errors import SdpseError, ValidationError
 from .measurements import Measurement
 from .network import NetworkModel, edge_graph, parse_phase, restrict
-from .problem import EstimationResult, estimate
-from .solver import SolverConfig
+from .problem import EstimationResult, SdpProblem, finish, prepare
+from .solver import SolverConfig, solve_many
 
 @dataclass
 class TopologyInfo:
@@ -300,24 +304,50 @@ def estimate_decoupled(
     config: Optional[SolverConfig] = None,
     repair_method: Optional[str] = "negate",
 ) -> Tuple[np.ndarray, List[EstimationResult]]:
-    """Estimate each sub-network with ``estimate`` and merge.
+    """Estimate each sub-network as ``estimate`` would and merge.
 
     Returns the merged complex node voltages (full network indexing) and the
     sub-networks' own results, in plan order.  Tie-line flow measurements are
     dropped under the 'ignore' policy; under 'update' they are folded into the
     boundary node's injection reading (with summed variance) when one exists.
-    An error in sub-network k is re-raised with a "sub-network k:" prefix.
+    An error in sub-network k is re-raised with a "sub-network k:" prefix;
+    the observability gates of all sub-networks run before any solve.  A
+    sub-network solved in a joint loop reports that loop's iterations.
     """
+    prepared = _prepare_plan(model, measurements, plan, repair_method)
+    reports = solve_many([problem for problem, _, _, _ in prepared], config)
+    V = np.zeros(model.n_nodes, dtype=complex)
+    results: List[EstimationResult] = []
+    for k, ((problem, repair_log, node_map, anchor), report) in enumerate(
+        zip(prepared, reports)
+    ):
+        try:
+            res = finish(problem, report, repair_log)
+        except SdpseError as exc:
+            raise type(exc)(f"sub-network {k}: {exc}")
+        shift = np.exp(1j * np.radians(anchor.ref_angle_deg))
+        for old, new in node_map.items():
+            V[old] = res.V[new] * shift
+        results.append(res)
+    return V, results
+
+
+def _prepare_plan(
+    model: NetworkModel,
+    measurements: Sequence[Measurement],
+    plan: PartitionPlan,
+    repair_method: Optional[str],
+) -> List[Tuple[SdpProblem, List[dict], Dict[int, int], Anchor]]:
+    """Every sub-network prepared for its solve, in plan order: its problem
+    (restricted, gated, repaired, assembled), repair log, node map (full to
+    local index) and reference anchor.  An error in sub-network k is raised
+    with a "sub-network k:" prefix."""
     validate_plan(model, plan)
     if not plan.anchors:
         raise ValidationError(
             "plan has no anchors; decoupled estimation requires an explicit "
             "anchor per sub-network"
         )
-    owner: Dict[str, int] = {}
-    for k, sub in enumerate(plan.sub_networks):
-        for b in sub:
-            owner[b] = k
     anchors_by_sub: Dict[int, List[Anchor]] = {}
     for a in plan.anchors:
         anchors_by_sub.setdefault(a.sub, []).append(a)
@@ -325,26 +355,22 @@ def estimate_decoupled(
         if k not in anchors_by_sub:
             raise ValidationError(f"sub-network {k} has no anchor")
 
-    V = np.zeros(model.n_nodes, dtype=complex)
-    results: List[EstimationResult] = []
+    prepared = []
     for k, sub in enumerate(plan.sub_networks):
-        head = anchors_by_sub[k][0].bus
-        submodel, node_map = restrict(model, sub, head=head)
+        anchors = anchors_by_sub[k]
+        submodel, node_map = restrict(model, sub, head=anchors[0].bus)
         sub_meas = _restrict_measurements(
             model, measurements, set(sub), node_map, plan.policy
         )
-        anchor_nodes = [
-            submodel.node_of(a.bus, a.phase) for a in anchors_by_sub[k]
-        ]
+        anchor_nodes = [submodel.node_of(a.bus, a.phase) for a in anchors]
         try:
-            res = estimate(submodel, sub_meas, anchor_nodes, config, repair_method)
+            problem, repair_log = prepare(
+                submodel, sub_meas, anchor_nodes, repair_method
+            )
         except SdpseError as exc:
             raise type(exc)(f"sub-network {k}: {exc}")
-        shift = np.exp(1j * np.radians(anchors_by_sub[k][0].ref_angle_deg))
-        for old, new in node_map.items():
-            V[old] = res.V[new] * shift
-        results.append(res)
-    return V, results
+        prepared.append((problem, repair_log, node_map, anchors[0]))
+    return prepared
 
 
 def _restrict_measurements(

@@ -1,6 +1,7 @@
 """End-to-end estimation runs.  The monolithic ``estimate`` lives with the
 problem it solves, in ``problem``; a decoupled run over a partition plan
-estimates each sub-network with it and merges them."""
+takes each sub-network through its steps, solving them all at once, and
+merges them."""
 
 from __future__ import annotations
 

@@ -1,6 +1,12 @@
 """The relaxed estimation problem: assembly, solve to a state, residuals, and
 ``estimate``, the one path from readings to a state.
 
+``estimate`` runs in three steps, which a batch of networks (the sub-networks
+of a plan, the combinations of a bad-data sweep) takes one network at a time
+around one ``solve_many`` call: ``prepare`` (observability gate, optional
+repair, assembly), the solve, and ``finish`` (sign fix, rank-1 check,
+residuals).
+
 The estimation problem is: minimize the weighted sum of squared residuals
 (z_i - Tr(A_i W))^2 / sigma_i^2 over PSD matrices W, with the angle reference
 fixed by forcing the imaginary-part diagonal entry of each anchor node to
@@ -21,7 +27,7 @@ from .measurements import Measurement, X_to_state, repair_observability
 from .network import NetworkModel
 from .observability import analyze
 from .sdpmat import MeasurementMatrixSet, build_matrix_set
-from .solver import SolveReport, SolverConfig, solve
+from .solver import SolveReport, SolverConfig, solve_many
 
 RANK1_SILENT = 1e-4
 RANK1_ERROR = 0.1
@@ -107,27 +113,6 @@ def compute_residuals(
     return r, r / problem.sigma
 
 
-def solve_to_state(
-    problem: SdpProblem, config: Optional[SolverConfig] = None
-) -> Tuple[SolveReport, np.ndarray]:
-    """Solve and return the report and the polished rank-one state X.
-
-    X has its sign fixed so the first anchor's real part is non-negative.
-    The report's ``rank1_ratio_raw`` is checked as ``extract_state`` checks
-    its ratio.
-    """
-    report = solve(problem, config)
-    if report.status == "numerical_failure":
-        raise SolverError("solver failed to produce a PSD iterate")
-    if report.polished_X is None:
-        raise SolverError("degenerate lifted state: leading eigenvalue <= 0")
-    X = report.polished_X
-    if X[problem.anchors[0]] < 0:
-        X = -X
-    _check_rank1(report.rank1_ratio_raw)
-    return report, X
-
-
 def extract_state(W: np.ndarray, anchors: Sequence[int]) -> Tuple[np.ndarray, float]:
     """Best rank-one factor of W and the quality ratio lambda2/lambda1.
 
@@ -182,21 +167,20 @@ class EstimationResult:
     sub_reports: List["EstimationResult"] = field(default_factory=list)
 
 
-def estimate(
+def prepare(
     model: NetworkModel,
     measurements: Sequence[Measurement],
     anchors: Sequence[int],
-    config: Optional[SolverConfig] = None,
     repair_method: Optional[str] = "negate",
     mats: Optional[MeasurementMatrixSet] = None,
-) -> EstimationResult:
-    """Estimate the state of one network: observability gate, optional
-    repair, solve to a state, residuals.
+) -> Tuple[SdpProblem, List[dict]]:
+    """The problem to solve for one network, and its repair log: the
+    observability gate, the optional repair, the assembly.
 
     With ``repair_method`` set, one-sided branch flows get their far-end
-    pseudo-measurement before solving.  With it disabled, any observability
-    gap is a hard error: a solve would return a low-quality state whose
-    extraction is meaningless.
+    pseudo-measurement.  With it disabled, any observability gap is a hard
+    error: a solve would return a low-quality state whose extraction is
+    meaningless.
     """
     if mats is None:
         mats = build_matrix_set(model)
@@ -216,9 +200,25 @@ def estimate(
                 "enable observability repair or supply far-end readings"
             )
         meas, repair_log = repair_observability(model, mats, meas, repair_method)
+    return assemble_problem(mats, meas, anchors), repair_log
 
-    problem = assemble_problem(mats, meas, anchors)
-    report, X = solve_to_state(problem, config)
+
+def finish(
+    problem: SdpProblem, report: SolveReport, repair_log: List[dict]
+) -> EstimationResult:
+    """The estimate of a solved problem: its polished rank-one state X and
+    its residuals.  X has its sign fixed so the first anchor's real part is
+    non-negative, and the report's ``rank1_ratio_raw`` is checked as
+    ``extract_state`` checks its ratio; SolverError when the solve gave no
+    state."""
+    if report.status == "numerical_failure":
+        raise SolverError("solver failed to produce a PSD iterate")
+    if report.polished_X is None:
+        raise SolverError("degenerate lifted state: leading eigenvalue <= 0")
+    X = report.polished_X
+    if X[problem.anchors[0]] < 0:
+        X = -X
+    _check_rank1(report.rank1_ratio_raw)
     r, rn = compute_residuals(problem, np.outer(X, X))
     return EstimationResult(
         V=X_to_state(X),
@@ -228,6 +228,20 @@ def estimate(
         status=report.status,
         residuals=r,
         normalized_residuals=rn,
-        measurements=meas,
+        measurements=problem.measurements,
         repair_log=repair_log,
     )
+
+
+def estimate(
+    model: NetworkModel,
+    measurements: Sequence[Measurement],
+    anchors: Sequence[int],
+    config: Optional[SolverConfig] = None,
+    repair_method: Optional[str] = "negate",
+    mats: Optional[MeasurementMatrixSet] = None,
+) -> EstimationResult:
+    """Estimate the state of one network: ``prepare`` (observability gate,
+    optional repair, assembly), solve, ``finish`` (state, residuals)."""
+    problem, repair_log = prepare(model, measurements, anchors, repair_method, mats)
+    return finish(problem, solve_many([problem], config)[0], repair_log)

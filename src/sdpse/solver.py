@@ -77,6 +77,27 @@ shared.
   block of -A^*(lambda) - B^*(y).  The report's W is the max-determinant
   completion of the blocks along the clique tree, without the pads.
 
+``solve_many`` solves a batch of problems.  When there are two or more, the
+node graph of each is a tree with an anchor, their reduced dimensions sum to
+at least ``CLIQUE_MIN_DIM`` and no start is given, their clique cones are
+laid side by side as one forest (a forest of chordal parts is chordal, with
+every branch of every part a clique): one stack of blocks, the rows ordered
+as every part's readings, then every part's hard rows, so that the first m
+rows are still the readings.  G is then block diagonal, and one RCM band, as
+wide as the widest part's, serves all parts with one ``dpbtrf``/``dpbtrs``
+call per factor and solve, as one stacked eigen-decomposition serves all
+their blocks.  The loop is shared (one step length, mu and sigma), but the
+start's S is scaled per part and the stopping test runs per part, on its own
+blocks and rows: the loop ends once every part meets it, and a part that
+does not at the last iterate reports ``max_iter``.  Each part's dual bound
+comes from its own segment of the dual-feasible r and is certified on its
+own blocks, and its completion, polish and rank-1 ratio from its own blocks
+and term table; its ``iterations`` are the joint loop's.  Any other batch,
+and every batch whose joint loop ends in ``numerical_failure``, is solved
+one problem at a time by ``solve``, so a problem that fails alone fails as
+it always did and the others are untouched.  A single problem is always
+solved by ``solve``.
+
 At an iterate whose dual residual meets the stopping rule, lambda = 2 w o r
 gives the dual bound ``lambda . z - sum_i lambda_i^2 / (4 w_i) + y . b``
 whenever ``-A^*(lambda) - B^*(y)`` is PSD (checked by a Cholesky
@@ -103,7 +124,8 @@ eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -164,13 +186,32 @@ class SolveReport:
     blocks: int = 1
 
 
+@dataclass
+class _Part:
+    """One problem's share of a cone: its readings ``reads`` (rows of A),
+    its hard rows ``hard`` (entries of b, rows m + hard of A), its blocks
+    ``blocks`` (a slice of W's first axis; all of W on the dense cone), its
+    share of the cone's size and its number of PSD blocks.  On the clique
+    cone also what its completion needs: the slot of each clique's parent
+    node and of each reduced index, in breadth-first node order."""
+
+    reads: slice
+    hard: slice
+    blocks: slice
+    size: int
+    count: int
+    pslot: Optional[np.ndarray] = None
+    slot: Optional[np.ndarray] = None
+
+
 class _Cone:
     """The operator A and the cone, in what both forms share.  Rows
     0..m-1 are the readings; rows m..n_rows-1 are hard rows B(W) = b (none
     on the dense cone), whose free multipliers y the iterate's r carries
     after the m residuals.  W is one array of ``shape``: (d, d) on the dense
     cone, (blocks, 4, 4) on the clique cone.  Term t of row ``row[t]`` has
-    coefficient ``c[t]`` at flat position ``flat[t]`` of W."""
+    coefficient ``c[t]`` at flat position ``flat[t]`` of W.  ``parts`` lists
+    the problems the cone holds (``_Part``): one, except on a forest."""
 
     def values(self, W: np.ndarray) -> np.ndarray:
         """Tr(A_i W) for every row."""
@@ -222,7 +263,8 @@ class _Terms(_Cone):
       taken as ``K = Q[:, sup]`` (ns x ns) and
       ``G = Sel (K o K^T) Sel^T``, Sel the m x ns owner selector.
 
-    The clique cone uses the table only for the polish.
+    F and Sel are built at the first ``gram`` call: the clique cone uses the
+    table only for the polish, and never calls it.
     """
 
     blocks = 1
@@ -258,25 +300,37 @@ class _Terms(_Cone):
         self.sup = self.p[starts]
         indptr = np.append(starts, self.n_terms)
         self.M = sp.csr_matrix((self.c, self.q, indptr), shape=(ns, d))
-        if m * d * d <= ns * ns:
-            self._F = np.zeros((d, m, d))
-            self._iu, self._ju = np.triu_indices(d)
-            self._pack_w = np.where(self._iu == self._ju, 1.0, np.sqrt(2.0))[:, None]
-        else:
-            self._F = None
-            self.Sel = sp.csr_matrix(
-                (np.ones(ns), (self.own, np.arange(ns))), shape=(m, ns)
-            )
+        self._dense_side = m * d * d <= ns * ns
+        self.parts = [_Part(slice(0, m), slice(0, 0), slice(None), d, 1)]
+
+    @cached_property
+    def _F(self) -> Optional[np.ndarray]:
+        """The dense side's (d, m, d) buffer; None on the support-row side."""
+        return np.zeros((self.d, self.m, self.d)) if self._dense_side else None
+
+    @cached_property
+    def _pack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The upper triangle's indices and their sqrt(2) packing weights."""
+        iu, ju = np.triu_indices(self.d)
+        return iu, ju, np.where(iu == ju, 1.0, np.sqrt(2.0))[:, None]
+
+    @cached_property
+    def Sel(self) -> sp.csr_matrix:
+        ns = len(self.own)
+        return sp.csr_matrix(
+            (np.ones(ns), (self.own, np.arange(ns))), shape=(self.m, ns)
+        )
 
     def gram(self, W: np.ndarray, L: np.ndarray) -> np.ndarray:
         """G[i, j] = Tr(A_i W A_j W), given W and a square factor L with
         W = L L^T."""
-        if self._F is not None:
-            m, d = self.m, self.d
-            self._F[self.sup, self.own] = self.M @ L
-            B = (L.T @ self._F.reshape(d, m * d)).reshape(d, m, d)
-            P = B[self._iu, :, self._ju]
-            P *= self._pack_w
+        if self._dense_side:
+            m, d, F = self.m, self.d, self._F
+            iu, ju, pack_w = self._pack
+            F[self.sup, self.own] = self.M @ L
+            B = (L.T @ F.reshape(d, m * d)).reshape(d, m, d)
+            P = B[iu, :, ju]
+            P *= pack_w
             return P.T @ P
         K = (self.M @ W)[:, self.sup]
         return self.Sel @ (self.Sel @ (K * K.T)).T
@@ -305,7 +359,7 @@ class _Terms(_Cone):
     def restrict(self, W: np.ndarray) -> np.ndarray:
         return W
 
-    def complete(self, W: np.ndarray) -> np.ndarray:
+    def complete(self, W: np.ndarray, part: Optional[_Part] = None) -> np.ndarray:
         return W
 
     def nt_scaling(
@@ -333,10 +387,11 @@ class _Terms(_Cone):
 def _branch_cliques(
     problem: SdpProblem, terms: _Terms, keep: np.ndarray
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The clique tree of a tree-shaped problem, or None for the dense cone.
+    """The clique tree of a tree-shaped problem, or None when the node graph
+    of its terms is not a tree with an anchor and at least one branch.
 
-    The clique cone is used when the node graph of the terms is a tree with
-    an anchor and ``d >= CLIQUE_MIN_DIM``: the rule reads only the problem.
+    One problem takes the clique cone when it is tree shaped and ``d >=
+    CLIQUE_MIN_DIM`` (``_cone`` tests d): the rule reads only the problem.
     Median time per solve in ms with the banded Schur factor (one BLAS
     thread, 2-core x86-64 host, 6 noise draws x 5 repeats) on
     ``tree_doc(n, seed=7, trunk_bias=3)``, truth seed 100, its one-sided
@@ -360,15 +415,48 @@ def _branch_cliques(
     Schur factor was dense.  The threshold is kept: moving it moves problems
     between the cones, a change to be measured on its own.
 
+    A batch of problems (``solve_many``) takes one forest when every problem
+    is tree shaped and their d sum to at least ``CLIQUE_MIN_DIM``.  Median
+    time per batch in ms (same host, 6 noise draws x 5 repeats), every
+    problem solved alone on the dense cone against the forest, forced below
+    the threshold where the sum is under it.  The parts are copies of the
+    10-bus chain of the bad-data sweep (``chain_doc(10, seed=3)``, truth seed
+    4, full plan, L2, d = 19) and 8-bus sub-networks of the partitioned
+    feeder (``tree_doc(96, seed=7, trunk_bias=3)`` split by ``separate(...,
+    8)``, one-sided plan, a µPMU magnitude at each anchor, negate repair, L2,
+    d = 15), each copy with its own noise draw:
+
+        batch         sum d   tol 1e-2 alone / forest   tol 1e-9 alone / forest
+        2 x chain10     38         18.0 / 11.4              23.2 / 15.1
+        3 x chain10     57         26.9 / 15.0              35.2 / 20.2
+        2 x sub8        30         10.6 /  8.9              14.2 / 10.8
+        3 x sub8        45         16.1 / 10.8              20.8 / 14.5
+
+    The forest already wins with two parts, as the loop pays the fixed cost
+    of an iteration once for all of them, so the batch crossover lies below
+    a sum of 30 and the rule's sum of 39 is on its safe side.  The batch rule
+    keeps the single-problem threshold so that one constant decides both;
+    lowering it would move two-combination bad-data sweeps (sum 38) to the
+    forest, a change to be measured on its own.  The gain shrinks as the
+    parts grow, because the shared loop runs until its slowest part stops
+    and its shared steps add iterations.  On three 34-bus sub-networks of
+    ``tree_doc(102, seed=7, trunk_bias=3)`` (d = 65 to 69, each on the
+    clique cone alone) the forest took 44 / 61 ms against 46 / 62 ms alone
+    at tol 1e-2 / 1e-9.  On fifty 60-bus sub-networks of ``tree_doc(3000,
+    seed=11, trunk_bias=4)`` (d = 57 to 133) it took 42 iterations at tol
+    1e-7, against a median of 28 and at most 34 alone, and 2.0 s against
+    1.6 s for the fifty solves; at tol 1e-9 it converged all fifty in 2.4 s,
+    where six of the solves alone end in ``numerical_failure``.
+
     Returns, per clique in breadth-first order from the first anchor, its
     child node a, its parent node and its parent clique (-1 for the first);
     the anchor's other child cliques hang on the first one.  Each clique
     becomes one 4 x 4 block of ``_CliqueTerms``, the re and im slots of its
     parent node and of a, where an anchor's im slot is a pad held by a pin
     row."""
-    if len(keep) < CLIQUE_MIN_DIM or not problem.anchors:
-        return None
     n = problem.dim // 2
+    if n < 2 or not problem.anchors:
+        return None
     node = keep % n
     graph = edge_graph(n, node[terms.p], node[terms.q])
     if graph.nnz != 2 * (n - 1):
@@ -476,32 +564,51 @@ class _CliqueTerms(_Cone):
     """
 
     def __init__(
-        self,
-        terms: _Terms,
-        keep: np.ndarray,
-        n: int,
-        cliques: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        self, parts: Sequence[Tuple[_Terms, np.ndarray, Tuple[np.ndarray, ...]]]
     ):
-        child, pnode, parent = cliques
-        self.blocks = nb = len(child)
-        self.m = m = terms.m
-        self.d = d = len(keep)
+        """The cone of one or more tree-shaped problems, each given by its
+        term table, its kept indices and its clique tree: their blocks side
+        by side, every part's readings first, then every part's hard rows."""
+        reads, hards, idx, pad, self.parts = [], [], [], [], []
+        M = sum(terms.m for terms, _, _ in parts)
+        m = B = H = 0
+        for terms, keep, (child, pnode, parent) in parts:
+            # A tree of n nodes has n - 1 cliques.
+            n, d, k = len(child) + 1, len(keep), len(child)
+            # Each block's reduced indices, d at a pad.
+            pos = np.full(2 * n, d, dtype=np.intp)
+            pos[keep] = np.arange(d)
+            idx.append(pos[np.stack([pnode, n + pnode, child, n + child], 1)])
+            pad.append(idx[-1] == d)
+            blk, lp, lq = _term_cliques(terms, keep, n, child, pnode)
+            hrow, hblk, hlp, hlq, hc, b = _hard_terms(child, pnode, parent, pad[-1])
+            reads.append((m + terms.row, B + blk, lp * 4 + lq, terms.c))
+            hards.append((M + H + hrow, B + hblk, hlp * 4 + hlq, hc, b))
+            # For the completion: the slots in breadth-first node order (the
+            # root's two, then each clique's child node's two) of every
+            # clique's parent node and of every reduced index.
+            rank = np.zeros(n, dtype=np.intp)
+            rank[child] = np.arange(1, k + 1)
+            self.parts.append(_Part(
+                slice(m, m + terms.m), slice(H, H + len(b)), slice(B, B + k),
+                4 * k, k, 2 * rank[pnode], 2 * rank[keep % n] + (keep >= n),
+            ))
+            m, B, H = m + terms.m, B + k, H + len(b)
+        self.blocks = nb = B
+        self.m = m
+        self.d = sum(len(keep) for _, keep, _ in parts)
         self.size = 4 * nb
         self.shape = (nb, 4, 4)
         self.entries = 16 * nb
-        # Each block's reduced indices, d at a pad.
-        pos = np.full(2 * n, d, dtype=np.intp)
-        pos[keep] = np.arange(d)
-        self._idx = pos[np.stack([pnode, n + pnode, child, n + child], 1)]
-        self._pad = self._idx == d
-
-        blk, lp, lq = _term_cliques(terms, keep, n, child, pnode)
-        hrow, hblk, hlp, hlq, hc, self.b = _hard_terms(child, pnode, parent, self._pad)
-        self.n_rows = N = m + len(self.b)
-        self.row = row = np.concatenate([terms.row, m + hrow])
-        self.c = c = np.concatenate([terms.c, hc])
-        blk = np.concatenate([blk, hblk])
-        local = np.concatenate([lp, hlp]) * 4 + np.concatenate([lq, hlq])
+        self._idx = np.concatenate(idx)
+        self._pad = np.concatenate(pad)
+        self.b = np.concatenate([h[4] for h in hards])
+        self.n_rows = N = m + H
+        terms_of = reads + [h[:4] for h in hards]
+        self.row = row = np.concatenate([t[0] for t in terms_of])
+        self.c = c = np.concatenate([t[3] for t in terms_of])
+        blk = np.concatenate([t[1] for t in terms_of])
+        local = np.concatenate([t[2] for t in terms_of])
         self.flat = blk * 16 + local
 
         # One entry per (row, block) pair, its coefficient matrix row-major
@@ -535,13 +642,6 @@ class _CliqueTerms(_Cone):
         self.bandwidth = bw = int((gi - gj)[lower].max())
         self._cell = (gj * (bw + 1) + gi - gj)[lower]
         self._gpos = ((eblk[pe] * rmax + li[pe]) * rmax + li[pf])[lower]
-        # For the completion: the slots in breadth-first node order (the
-        # root's two, then each clique's child node's two) of every
-        # clique's parent node and of every reduced index.
-        rank = np.zeros(n, dtype=np.intp)
-        rank[child] = np.arange(1, nb + 1)
-        self._pslot = 2 * rank[pnode]
-        self._slot = 2 * rank[keep % n] + (keep >= n)
 
     def gram(self, W: np.ndarray, R: np.ndarray) -> np.ndarray:
         """G[i, j] = sum over cliques K of Tr(C_i^K What_K C_j^K What_K) =
@@ -567,16 +667,17 @@ class _CliqueTerms(_Cone):
 
     def restrict(self, W: np.ndarray) -> np.ndarray:
         """The clique blocks of a reduced d x d matrix, each pad 0.1 on its
-        diagonal and 0 beside it."""
+        diagonal and 0 beside it (a cone of one part)."""
         Wp = np.zeros((self.d + 1, self.d + 1))
         Wp[:-1, :-1] = W
         B = Wp[self._idx[:, :, None], self._idx[:, None, :]]
         _diagonal(B)[self._pad] = _W0
         return B
 
-    def complete(self, W: np.ndarray) -> np.ndarray:
-        """The max-determinant completion of the blocks along the clique
-        tree, without the pads: each clique's child slots N are set
+    def complete(self, W: np.ndarray, part: Optional[_Part] = None) -> np.ndarray:
+        """The max-determinant completion of a part's blocks (the first
+        part's by default) along its clique tree, without the pads: each
+        clique's child slots N are set
         conditionally independent of the slots U before them given the
         separator J, ``X[N, U] = Phi X[J, U]`` with ``Phi = W_K[N, J]
         W_K[J, J]^-1``, and ``X[N, N] = Phi X[J, J] Phi^T`` plus the Schur
@@ -588,17 +689,19 @@ class _CliqueTerms(_Cone):
         directions below 1e-10 of the largest: with the parent's X[J, J] the
         completion then stays PSD to rounding.  Built in breadth-first node
         order, where U is a prefix."""
+        part = self.parts[0] if part is None else part
+        W = W[part.blocks]
         F = W[:, 2:, :2] @ np.linalg.pinv(W[:, :2, :2], rcond=1e-10, hermitian=True)
         C = W[:, 2:, 2:] - F @ W[:, :2, 2:]
-        X = np.zeros((2 * self.blocks + 2,) * 2)
+        X = np.zeros((2 * part.count + 2,) * 2)
         X[:4, :4] = W[0]
-        for b in range(1, self.blocks):
-            s, ps, f = 2 * b + 2, self._pslot[b], F[b]
+        for b in range(1, part.count):
+            s, ps, f = 2 * b + 2, part.pslot[b], F[b]
             X[s : s + 2, :s] = f @ X[ps : ps + 2, :s]
             X[:s, s : s + 2] = X[s : s + 2, :s].T
             Y = C[b] + f @ X[ps : ps + 2, ps : ps + 2] @ f.T
             X[s : s + 2, s : s + 2] = 0.5 * (Y + Y.T)
-        return X[np.ix_(self._slot, self._slot)]
+        return X[np.ix_(part.slot, part.slot)]
 
     def nt_scaling(
         self, W: np.ndarray, S: np.ndarray
@@ -774,27 +877,35 @@ def _converged(gap: float, misfit: float, tol: float, size: int) -> bool:
     return gap <= max(tol * misfit, 1e-2 * tol * size)
 
 
-def _best_bound(op, w: np.ndarray, z: np.ndarray, candidates: List[np.ndarray]) -> float:
-    """The highest certified dual bound over the candidate iterates' r, NaN
-    when none is certified.
+def _best_bound(
+    op,
+    w: np.ndarray,
+    z: np.ndarray,
+    candidates: List[np.ndarray],
+    part: Optional[_Part] = None,
+) -> float:
+    """The highest certified dual bound of a part (the first by default)
+    over the candidate iterates' r, NaN when none is certified.
 
     Each r gives lambda = 2 w o r and the bound ``lambda . z - sum_i
     lambda_i^2 / (4 w_i) + y . b``, which equals ``(w o r) . (2 z - r) + y .
-    b``; it is certified when ``-A^*(lambda) - B^*(y)`` has a Cholesky factor
-    (on the clique cone, every block of it; the dense cone has no hard
-    rows).  For every PSD W with B(W) = b, ``sum_i w_i (z - A(W))_i^2 >=
-    lambda . (z - A(W)) - sum_i lambda_i^2 / (4 w_i)`` and ``-lambda . A(W)
-    = <-A^*(lambda) - B^*(y), W> + y . b >= y . b``, so no W fits better than
+    b``, taken over the part's readings and hard rows; it is certified when
+    ``-A^*(lambda) - B^*(y)`` has a Cholesky factor on the part's blocks (on
+    the clique cone, every block of it; the dense cone has no hard rows).
+    For every PSD W with B(W) = b, ``sum_i w_i (z - A(W))_i^2 >= lambda . (z
+    - A(W)) - sum_i lambda_i^2 / (4 w_i)`` and ``-lambda . A(W) =
+    <-A^*(lambda) - B^*(y), W> + y . b >= y . b``, so no W fits better than
     a certified bound.  The candidates are tried from the highest bound
     down, so the first that passes is the best one."""
-    m = len(z)
+    part = op.parts[0] if part is None else part
+    m, a, h = len(z), part.reads, part.hard
     values = [
-        float(np.dot(w * r[:m], 2.0 * z - r[:m]) + np.dot(r[m:], op.b))
+        float(np.dot(w[a] * r[a], 2.0 * z[a] - r[a]) + np.dot(r[m:][h], op.b[h]))
         for r in candidates
     ]
     for k in np.argsort(-np.array(values)):
         r = candidates[k]
-        if op.psd(-op.accumulate(op.multipliers(w, r))):
+        if op.psd(-op.accumulate(op.multipliers(w, r))[part.blocks]):
             return values[k]
     return float("nan")
 
@@ -828,32 +939,46 @@ def _corrector(dWa: np.ndarray, dSa: np.ndarray, lam: np.ndarray, target: float)
 def _interior_point(
     op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float, max_iterations: int
 ):
-    """The primal-dual iteration on op's cone from W.  Returns the last
-    iterate W, the iterations taken, the status and the dual bound."""
-    m, size = len(z), op.size
+    """The primal-dual iteration on op's cone from W, on all of its parts at
+    once: one step length, mu and sigma, and a stop once every part meets
+    the stopping test on its own blocks and rows.  Returns the last iterate
+    W, the iterations taken, and each part's status and dual bound."""
+    m, size, parts = len(z), op.size, op.parts
     AW = op.values(W)
     res = z - AW[:m]
-    # A centered start: S a multiple of I with <W, S> = f(W), and r primal
-    # feasible (with zero multipliers y of the hard rows).
-    S = op.identity(float(np.dot(w, res * res)) / op.trace(W))
+    # A centered start: on each part S a multiple of I with <W, S> = f(W),
+    # and r primal feasible (with zero multipliers y of the hard rows).
+    S = op.identity(1.0)
+    for part in parts:
+        a = part.reads
+        misfit = float(np.dot(w[a], res[a] * res[a]))
+        S[part.blocks] *= misfit / op.trace(W[part.blocks])
     r = np.concatenate([res, np.zeros(len(op.b))])
     iterations = 0
     status = "converged"
-    feasible: List[np.ndarray] = []
+    feasible: List[List[np.ndarray]] = [[] for _ in parts]
+    done = [False] * len(parts)
 
     while True:
         AW = op.values(W)
         res = z - AW[:m]
         Rd = S + op.accumulate(op.multipliers(w, r))
-        dual_feasible = np.linalg.norm(Rd) <= tol * max(1.0, np.linalg.norm(S))
-        # At the last iterates S's smallest eigenvalues sink to rounding
-        # against its largest, so the final one alone can fail the
-        # certificate: every dual-feasible iterate is a candidate.
-        if dual_feasible:
-            feasible.append(r)
-        if dual_feasible and _converged(
-            float(np.vdot(W, S)), float(np.dot(w, res * res)), tol, size
-        ):
+        for k, part in enumerate(parts):
+            b, a = part.blocks, part.reads
+            Sk = S[b]
+            dual_feasible = np.linalg.norm(Rd[b]) <= tol * max(1.0, np.linalg.norm(Sk))
+            # At the last iterates S's smallest eigenvalues sink to rounding
+            # against its largest, so the final one alone can fail the
+            # certificate: every dual-feasible iterate is a candidate.
+            if dual_feasible:
+                feasible[k].append(r)
+            done[k] = dual_feasible and _converged(
+                float(np.vdot(W[b], Sk)),
+                float(np.dot(w[a], res[a] * res[a])),
+                tol,
+                part.size,
+            )
+        if all(done):
             break
         if iterations >= max_iterations:
             status = "max_iter"
@@ -882,25 +1007,76 @@ def _interior_point(
         S = S + t * dS
         r = r + t * dr
         iterations += 1
-    return W, iterations, status, _best_bound(op, w, z, feasible)
+    if status == "numerical_failure":
+        statuses = [status] * len(parts)
+    else:
+        statuses = ["converged" if ok else "max_iter" for ok in done]
+    bounds = [_best_bound(op, w, z, c, part) for c, part in zip(feasible, parts)]
+    return W, iterations, statuses, bounds
 
 
 def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveReport:
     return _solve(problem, config, cliques=True)
 
 
-def _cone(problem: SdpProblem, cliques: bool = True):
-    """The kept indices (anchors' imaginary parts dropped), the dense term
-    table and the cone to solve on: the clique cone where the rule of
-    ``_branch_cliques`` holds and ``cliques`` is set, else the dense one."""
+def solve_many(
+    problems: Sequence[SdpProblem], config: Optional[SolverConfig] = None
+) -> List[SolveReport]:
+    """``solve`` of each problem, in order.  Two or more tree-shaped
+    problems whose reduced dimensions sum to at least ``CLIQUE_MIN_DIM`` are
+    solved together, as one forest of clique blocks (``_forest``); when that
+    joint loop fails, each problem is solved alone."""
+    if config is None:
+        config = SolverConfig()
+    parts = _forest(problems, config)
+    if parts is not None:
+        op = _CliqueTerms(parts)
+        cones = [(keep, terms) for terms, keep, _ in parts]
+        reports = _run(problems, cones, op, op.identity(_W0), config)
+        if all(report.status != "numerical_failure" for report in reports):
+            return reports
+    return [solve(problem, config) for problem in problems]
+
+
+def _reduce(problem: SdpProblem) -> Tuple[np.ndarray, _Terms]:
+    """The kept indices (anchors' imaginary parts dropped) and the dense
+    term table on them."""
     n = problem.dim // 2
     drop = set(n + a for a in problem.anchors)
     keep = np.array([i for i in range(problem.dim) if i not in drop], dtype=np.intp)
-    terms = _Terms(problem, keep)
-    tree = _branch_cliques(problem, terms, keep) if cliques else None
+    return keep, _Terms(problem, keep)
+
+
+def _cone(problem: SdpProblem, cliques: bool = True):
+    """The kept indices, the dense term table and the cone to solve on: the
+    clique cone where the rule of ``_branch_cliques`` holds, d is at least
+    ``CLIQUE_MIN_DIM`` and ``cliques`` is set, else the dense one."""
+    keep, terms = _reduce(problem)
+    tree = None
+    if cliques and terms.d >= CLIQUE_MIN_DIM:
+        tree = _branch_cliques(problem, terms, keep)
     if tree is None:
         return keep, terms, terms
-    return keep, terms, _CliqueTerms(terms, keep, n, tree)
+    return keep, terms, _CliqueTerms([(terms, keep, tree)])
+
+
+def _forest(problems: Sequence[SdpProblem], config: SolverConfig):
+    """Each problem's term table, kept indices and clique tree, for one
+    clique cone of them all; None unless there are two or more, all tree
+    shaped, with reduced dimensions summing to at least ``CLIQUE_MIN_DIM``
+    and no start given."""
+    if len(problems) < 2 or config.initial_W is not None:
+        return None
+    parts = []
+    for problem in problems:
+        keep, terms = _reduce(problem)
+        tree = _branch_cliques(problem, terms, keep)
+        if tree is None:
+            return None
+        parts.append((terms, keep, tree))
+    if sum(terms.d for terms, _, _ in parts) < CLIQUE_MIN_DIM:
+        return None
+    return parts
 
 
 def _solve(
@@ -911,9 +1087,6 @@ def _solve(
         config = SolverConfig()
     dim = problem.dim
     keep, terms, op = _cone(problem, cliques)
-    d = terms.d
-    w = 1.0 / (problem.sigma * problem.sigma)
-    z = problem.z
 
     # The per-unit start: diag W = |V|^2 is about 1 at the optimum, whatever
     # the readings weigh, and 0.1 I sits inside the cone on that scale
@@ -931,38 +1104,63 @@ def _solve(
         W0 = op.restrict(np.array(config.initial_W[np.ix_(keep, keep)], dtype=float))
         if op.psd(W0 + op.identity(1e-12)):
             W = W0 + op.identity(1e-8)
-    W, iterations, status, dual_bound = _interior_point(
+    return _run([problem], [(keep, terms)], op, W, config)[0]
+
+
+def _run(
+    problems: Sequence[SdpProblem],
+    cones: Sequence[Tuple[np.ndarray, _Terms]],
+    op,
+    W: np.ndarray,
+    config: SolverConfig,
+) -> List[SolveReport]:
+    """The interior-point loop on op from W, then each problem's report
+    from its own part of the last iterate: its completion, its polish from
+    the leading eigenvector (on its kept indices and term table, ``cones``)
+    and its rank-1 ratio."""
+    w = np.concatenate([1.0 / (p.sigma * p.sigma) for p in problems])
+    z = np.concatenate([p.z for p in problems])
+    W, iterations, statuses, bounds = _interior_point(
         op, w, z, W, config.convergence_tol, config.max_iterations
     )
-
     res = z - op.values(W)[: len(z)]
-    obj_out = float(np.dot(w, res * res))
-    W = op.complete(W)
-    polished_X = None
-    ratio_raw = float("nan")
-    if status != "numerical_failure":
-        vals, vecs = np.linalg.eigh(W)
-        lam1 = vals[-1]
-        if lam1 > 0:
-            ratio_raw = (max(vals[-2], 0.0) if d > 1 else 0.0) / lam1
-            polished_X, obj_out = _polish(terms, z, w, np.sqrt(lam1) * vecs[:, -1])
-
-    W_full = np.zeros((dim, dim))
-    W_full[np.ix_(keep, keep)] = W
-    X_full = None
-    if polished_X is not None:
-        X_full = np.zeros(dim)
-        X_full[keep] = polished_X
-    return SolveReport(
-        W=W_full,
-        objective=obj_out,
-        iterations=iterations,
-        status=status,
-        polished_X=X_full,
-        rank1_ratio_raw=ratio_raw,
-        dual_bound=dual_bound,
-        blocks=op.blocks,
-    )
+    reports = []
+    for problem, (keep, terms), part, status, dual_bound in zip(
+        problems, cones, op.parts, statuses, bounds
+    ):
+        a = part.reads
+        objective = float(np.dot(w[a], res[a] * res[a]))
+        Wk = op.complete(W, part)
+        polished_X = None
+        ratio_raw = float("nan")
+        if status != "numerical_failure":
+            vals, vecs = np.linalg.eigh(Wk)
+            lam1 = vals[-1]
+            if lam1 > 0:
+                ratio_raw = (max(vals[-2], 0.0) if terms.d > 1 else 0.0) / lam1
+                polished_X, objective = _polish(
+                    terms, problem.z, w[a], np.sqrt(lam1) * vecs[:, -1]
+                )
+        dim = problem.dim
+        W_full = np.zeros((dim, dim))
+        W_full[np.ix_(keep, keep)] = Wk
+        X_full = None
+        if polished_X is not None:
+            X_full = np.zeros(dim)
+            X_full[keep] = polished_X
+        reports.append(
+            SolveReport(
+                W=W_full,
+                objective=objective,
+                iterations=iterations,
+                status=status,
+                polished_X=X_full,
+                rank1_ratio_raw=ratio_raw,
+                dual_bound=dual_bound,
+                blocks=part.count,
+            )
+        )
+    return reports
 
 
 def _polish(

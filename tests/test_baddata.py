@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import netgen
+import sdpse.baddata
 from test_sdpmat import dense
 from sdpse.baddata import (
     _replace_from_identity,
@@ -110,6 +112,33 @@ def test_identify_recovers_culprit(redundant_case):
     )
     assert culprits == [idx]
     assert evaluated == len(suspects[0].members)
+    assert np.max(np.abs(np.abs(result.V) - np.abs(V))) < 1e-4
+
+
+def test_identify_skips_a_combination_whose_solve_fails(redundant_case, monkeypatch):
+    # The combinations are solved in one batch; one whose solve fails is
+    # skipped, the others are scored as before.
+    model, mats, V, meas = redundant_case
+    bad, idx = corrupt(meas, "P_inj", 3, 0.4)
+    suspects = detect(model, mats, bad)
+    solve_many = sdpse.baddata.solve_many
+    batches = []
+
+    def failing_first(problems, config=None):
+        reports = solve_many(problems, config)
+        batches.append(len(problems))
+        # Fail a combination that does not replace the culprit.
+        replaced = [p.measurements[idx] != bad[idx] for p in problems]
+        failed = 1 if replaced[0] else 0
+        reports[failed] = replace(reports[failed], status="numerical_failure")
+        return reports
+
+    monkeypatch.setattr(sdpse.baddata, "solve_many", failing_first)
+    culprits, result, evaluated = identify_and_reestimate(
+        model, mats, bad, suspects, anchors=[0]
+    )
+    assert batches == [evaluated] == [len(suspects[0].members)]
+    assert culprits == [idx]
     assert np.max(np.abs(np.abs(result.V) - np.abs(V))) < 1e-4
 
 

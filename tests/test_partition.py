@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,34 @@ def test_decoupled_matches_monolithic_at_zero_noise():
     assert np.max(np.abs(np.abs(mono.V) - np.abs(V))) < 1e-5
     ang = np.degrees(np.angle(V_dec * np.conj(V)))
     assert np.max(np.abs(ang)) < 1e-3
+
+
+def test_decoupled_ignores_the_order_of_sub_networks():
+    # The partitioned-feeder plan solves its twelve sub-networks as one
+    # forest; listing them in reverse order lays the forest out the other
+    # way round, not the merged state.
+    model, V, meas, plan = netgen.anchored_plan_case(96, 8)
+    last = len(plan.sub_networks) - 1
+    reverse = PartitionPlan(
+        sub_networks=plan.sub_networks[::-1],
+        tie_lines=plan.tie_lines,
+        anchors=[replace(a, sub=last - a.sub) for a in plan.anchors],
+        policy=plan.policy,
+    )
+    V_dec, reports = estimate_decoupled(model, meas, plan)
+    V_rev, reports_rev = estimate_decoupled(model, meas, reverse)
+    assert [r.status for r in reports + reports_rev] == ["converged"] * 24
+    np.testing.assert_allclose(V_rev, V_dec, rtol=0, atol=1e-10)
+
+
+def test_decoupled_forest_matches_monolithic_and_truth_at_zero_noise():
+    # The full plan at L0 on the partitioned-feeder plan: the sub-networks
+    # solved as one forest, the whole feeder and the truth agree.
+    model, V, meas, plan = netgen.anchored_plan_case(96, 8, level=0, full=True)
+    V_dec, _ = estimate_decoupled(model, meas, plan)
+    mono = estimate(model, meas, anchors=[0])
+    np.testing.assert_allclose(V_dec, mono.V, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(V_dec, V, rtol=0, atol=1e-8)
 
 
 def one_sided_chain_plan():
