@@ -77,26 +77,29 @@ shared.
   block of -A^*(lambda) - B^*(y).  The report's W is the max-determinant
   completion of the blocks along the clique tree, without the pads.
 
-``solve_many`` solves a batch of problems.  When there are two or more, the
-node graph of each is a tree with an anchor, their reduced dimensions sum to
-at least ``CLIQUE_MIN_DIM`` and no start is given, their clique cones are
-laid side by side as one forest (a forest of chordal parts is chordal, with
-every branch of every part a clique): one stack of blocks, the rows ordered
-as every part's readings, then every part's hard rows, so that the first m
-rows are still the readings.  G is then block diagonal, and one RCM band, as
-wide as the widest part's, serves all parts with one ``dpbtrf``/``dpbtrs``
-call per factor and solve, as one stacked eigen-decomposition serves all
-their blocks.  The loop is shared (one step length, mu and sigma), but the
-start's S is scaled per part and the stopping test runs per part, on its own
-blocks and rows: the loop ends once every part meets it, and a part that
-does not at the last iterate reports ``max_iter``.  Each part's dual bound
-comes from its own segment of the dual-feasible r and is certified on its
-own blocks, and its completion, polish and rank-1 ratio from its own blocks
-and term table; its ``iterations`` are the joint loop's.  Any other batch,
-and every batch whose joint loop ends in ``numerical_failure``, is solved
-one problem at a time by ``solve``, so a problem that fails alone fails as
-it always did and the others are untouched.  A single problem is always
-solved by ``solve``.
+One rule, ``_cliques``, picks the cone of one problem or of a batch: one
+clique cone of them all when their reduced dimensions sum to at least
+``CLIQUE_MIN_DIM`` and the node graph of each is a tree with an anchor,
+else none.  A forest of chordal parts is chordal, with every branch of every
+part a clique, so the clique cones of several problems are laid side by
+side as one: one stack of blocks, the rows ordered as every part's
+readings, then every part's hard rows, so that the first m rows are still
+the readings.  ``solve`` runs its problem on the rule's cone, or on the
+dense cone when there is none.  ``solve_many`` runs two or more problems,
+with no start given, in one loop on the rule's cone of them all.  G is then
+block diagonal, and one RCM band, as wide as the widest part's, serves all
+parts with one ``dpbtrf``/``dpbtrs`` call per factor and solve, as one
+stacked eigen-decomposition serves all their blocks.  The loop is shared
+(one step length, mu and sigma), but the start's S is scaled per part and
+the stopping test runs per part, on its own blocks and rows: the loop ends
+once every part meets it, and a part that does not at the last iterate
+reports ``max_iter``.  Each part's dual bound comes from its own segment of
+the dual-feasible r and is certified on its own blocks, and its completion,
+polish and rank-1 ratio from its own blocks and term table; its
+``iterations`` are the joint loop's.  Any other batch, and every batch whose
+joint loop ends in ``numerical_failure``, is solved one problem at a time
+by ``solve``, so a problem that fails alone fails as it always did and the
+others are untouched.
 
 At an iterate whose dual residual meets the stopping rule, lambda = 2 w o r
 gives the dual bound ``lambda . z - sum_i lambda_i^2 / (4 w_i) + y . b``
@@ -123,6 +126,7 @@ eigenvalues.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
@@ -147,18 +151,23 @@ CLIQUE_MIN_DIM = 39
 # that the start meets the pins.
 _W0 = 0.1
 
+# Interior-point iterations before a solve stops with ``max_iter``.
+MAX_ITERATIONS = 200
+
 
 @dataclass
 class SolverConfig:
-    max_iterations: int = 200
     convergence_tol: float = 1e-9
     initial_W: Optional[np.ndarray] = None  # None: the per-unit start 0.1 I
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if not (self.convergence_tol > 0):
-            raise ValidationError("convergence_tol must be positive")
+        # The start sets <W, S> = f(W), so at a tolerance of 1 or more the
+        # gap test can pass before the first step.
+        tol = self.convergence_tol
+        if not (isinstance(tol, numbers.Real) and 0 < tol < 1):
+            raise ValidationError(
+                f"convergence_tol must be a real number in (0, 1), got {tol!r}"
+            )
         if self.initial_W is not None and not isinstance(self.initial_W, np.ndarray):
             raise ValidationError("initial_W must be None or a numpy array")
 
@@ -359,7 +368,7 @@ class _Terms(_Cone):
     def restrict(self, W: np.ndarray) -> np.ndarray:
         return W
 
-    def complete(self, W: np.ndarray, part: Optional[_Part] = None) -> np.ndarray:
+    def complete(self, W: np.ndarray, part: _Part) -> np.ndarray:
         return W
 
     def nt_scaling(
@@ -391,7 +400,7 @@ def _branch_cliques(
     of its terms is not a tree with an anchor and at least one branch.
 
     One problem takes the clique cone when it is tree shaped and ``d >=
-    CLIQUE_MIN_DIM`` (``_cone`` tests d): the rule reads only the problem.
+    CLIQUE_MIN_DIM`` (``_cliques`` tests d): the rule reads only the problem.
     Median time per solve in ms with the banded Schur factor (one BLAS
     thread, 2-core x86-64 host, 6 noise draws x 5 repeats) on
     ``tree_doc(n, seed=7, trunk_bias=3)``, truth seed 100, its one-sided
@@ -674,10 +683,9 @@ class _CliqueTerms(_Cone):
         _diagonal(B)[self._pad] = _W0
         return B
 
-    def complete(self, W: np.ndarray, part: Optional[_Part] = None) -> np.ndarray:
-        """The max-determinant completion of a part's blocks (the first
-        part's by default) along its clique tree, without the pads: each
-        clique's child slots N are set
+    def complete(self, W: np.ndarray, part: _Part) -> np.ndarray:
+        """The max-determinant completion of a part's blocks along its clique
+        tree, without the pads: each clique's child slots N are set
         conditionally independent of the slots U before them given the
         separator J, ``X[N, U] = Phi X[J, U]`` with ``Phi = W_K[N, J]
         W_K[J, J]^-1``, and ``X[N, N] = Phi X[J, J] Phi^T`` plus the Schur
@@ -689,7 +697,6 @@ class _CliqueTerms(_Cone):
         directions below 1e-10 of the largest: with the parent's X[J, J] the
         completion then stays PSD to rounding.  Built in breadth-first node
         order, where U is a prefix."""
-        part = self.parts[0] if part is None else part
         W = W[part.blocks]
         F = W[:, 2:, :2] @ np.linalg.pinv(W[:, :2, :2], rcond=1e-10, hermitian=True)
         C = W[:, 2:, 2:] - F @ W[:, :2, 2:]
@@ -882,10 +889,10 @@ def _best_bound(
     w: np.ndarray,
     z: np.ndarray,
     candidates: List[np.ndarray],
-    part: Optional[_Part] = None,
+    part: _Part,
 ) -> float:
-    """The highest certified dual bound of a part (the first by default)
-    over the candidate iterates' r, NaN when none is certified.
+    """The highest certified dual bound of a part over the candidate
+    iterates' r, NaN when none is certified.
 
     Each r gives lambda = 2 w o r and the bound ``lambda . z - sum_i
     lambda_i^2 / (4 w_i) + y . b``, which equals ``(w o r) . (2 z - r) + y .
@@ -897,7 +904,6 @@ def _best_bound(
     <-A^*(lambda) - B^*(y), W> + y . b >= y . b``, so no W fits better than
     a certified bound.  The candidates are tried from the highest bound
     down, so the first that passes is the best one."""
-    part = op.parts[0] if part is None else part
     m, a, h = len(z), part.reads, part.hard
     values = [
         float(np.dot(w[a] * r[a], 2.0 * z[a] - r[a]) + np.dot(r[m:][h], op.b[h]))
@@ -936,9 +942,7 @@ def _corrector(dWa: np.ndarray, dSa: np.ndarray, lam: np.ndarray, target: float)
     return 2.0 * C / (lam[..., :, None] + lam[..., None, :])
 
 
-def _interior_point(
-    op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float, max_iterations: int
-):
+def _interior_point(op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float):
     """The primal-dual iteration on op's cone from W, on all of its parts at
     once: one step length, mu and sigma, and a stop once every part meets
     the stopping test on its own blocks and rows.  Returns the last iterate
@@ -980,7 +984,7 @@ def _interior_point(
             )
         if all(done):
             break
-        if iterations >= max_iterations:
+        if iterations >= MAX_ITERATIONS:
             status = "max_iter"
             break
         Rp = np.concatenate([res - r[:m], op.b - AW[m:]])
@@ -1016,77 +1020,15 @@ def _interior_point(
 
 
 def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveReport:
-    return _solve(problem, config, cliques=True)
-
-
-def solve_many(
-    problems: Sequence[SdpProblem], config: Optional[SolverConfig] = None
-) -> List[SolveReport]:
-    """``solve`` of each problem, in order.  Two or more tree-shaped
-    problems whose reduced dimensions sum to at least ``CLIQUE_MIN_DIM`` are
-    solved together, as one forest of clique blocks (``_forest``); when that
-    joint loop fails, each problem is solved alone."""
-    if config is None:
-        config = SolverConfig()
-    parts = _forest(problems, config)
-    if parts is not None:
-        op = _CliqueTerms(parts)
-        cones = [(keep, terms) for terms, keep, _ in parts]
-        reports = _run(problems, cones, op, op.identity(_W0), config)
-        if all(report.status != "numerical_failure" for report in reports):
-            return reports
-    return [solve(problem, config) for problem in problems]
-
-
-def _reduce(problem: SdpProblem) -> Tuple[np.ndarray, _Terms]:
-    """The kept indices (anchors' imaginary parts dropped) and the dense
-    term table on them."""
-    n = problem.dim // 2
-    drop = set(n + a for a in problem.anchors)
-    keep = np.array([i for i in range(problem.dim) if i not in drop], dtype=np.intp)
-    return keep, _Terms(problem, keep)
-
-
-def _cone(problem: SdpProblem, cliques: bool = True):
-    """The kept indices, the dense term table and the cone to solve on: the
-    clique cone where the rule of ``_branch_cliques`` holds, d is at least
-    ``CLIQUE_MIN_DIM`` and ``cliques`` is set, else the dense one."""
-    keep, terms = _reduce(problem)
-    tree = None
-    if cliques and terms.d >= CLIQUE_MIN_DIM:
-        tree = _branch_cliques(problem, terms, keep)
-    if tree is None:
-        return keep, terms, terms
-    return keep, terms, _CliqueTerms([(terms, keep, tree)])
-
-
-def _forest(problems: Sequence[SdpProblem], config: SolverConfig):
-    """Each problem's term table, kept indices and clique tree, for one
-    clique cone of them all; None unless there are two or more, all tree
-    shaped, with reduced dimensions summing to at least ``CLIQUE_MIN_DIM``
-    and no start given."""
-    if len(problems) < 2 or config.initial_W is not None:
-        return None
-    parts = []
-    for problem in problems:
-        keep, terms = _reduce(problem)
-        tree = _branch_cliques(problem, terms, keep)
-        if tree is None:
-            return None
-        parts.append((terms, keep, tree))
-    if sum(terms.d for terms, _, _ in parts) < CLIQUE_MIN_DIM:
-        return None
-    return parts
-
-
-def _solve(
-    problem: SdpProblem, config: Optional[SolverConfig], cliques: bool
-) -> SolveReport:
-    """``solve``; with ``cliques=False`` always on the dense cone."""
+    """One problem on the clique cone of ``_cliques``, or on the dense cone
+    when that rule gives none."""
     if config is None:
         config = SolverConfig()
     dim = problem.dim
-    keep, terms, op = _cone(problem, cliques)
+    keep, terms = cone = _reduce(problem)
+    op = _cliques([problem], [cone])
+    if op is None:
+        op = terms
 
     # The per-unit start: diag W = |V|^2 is about 1 at the optimum, whatever
     # the readings weigh, and 0.1 I sits inside the cone on that scale
@@ -1104,7 +1046,53 @@ def _solve(
         W0 = op.restrict(np.array(config.initial_W[np.ix_(keep, keep)], dtype=float))
         if op.psd(W0 + op.identity(1e-12)):
             W = W0 + op.identity(1e-8)
-    return _run([problem], [(keep, terms)], op, W, config)[0]
+    return _run([problem], [cone], op, W, config)[0]
+
+
+def solve_many(
+    problems: Sequence[SdpProblem], config: Optional[SolverConfig] = None
+) -> List[SolveReport]:
+    """``solve`` of each problem, in order.  Two or more problems with no
+    start given are solved together when ``_cliques`` gives one clique cone
+    of them all; when that joint loop fails, or there is no such cone, each
+    problem is solved alone."""
+    if config is None:
+        config = SolverConfig()
+    if len(problems) > 1 and config.initial_W is None:
+        cones = [_reduce(problem) for problem in problems]
+        op = _cliques(problems, cones)
+        if op is not None:
+            reports = _run(problems, cones, op, op.identity(_W0), config)
+            if all(report.status != "numerical_failure" for report in reports):
+                return reports
+    return [solve(problem, config) for problem in problems]
+
+
+def _reduce(problem: SdpProblem) -> Tuple[np.ndarray, _Terms]:
+    """The kept indices (anchors' imaginary parts dropped) and the dense
+    term table on them."""
+    n = problem.dim // 2
+    drop = [n + a for a in problem.anchors]
+    keep = np.delete(np.arange(problem.dim, dtype=np.intp), drop)
+    return keep, _Terms(problem, keep)
+
+
+def _cliques(
+    problems: Sequence[SdpProblem], cones: Sequence[Tuple[np.ndarray, _Terms]]
+) -> Optional[_CliqueTerms]:
+    """One clique cone of all the problems, given their kept indices and term
+    tables (``_reduce``): None unless their reduced dimensions sum to at
+    least ``CLIQUE_MIN_DIM`` and the node graph of each is a tree with an
+    anchor (``_branch_cliques``).  One problem is a forest of one tree."""
+    if sum(terms.d for _, terms in cones) < CLIQUE_MIN_DIM:
+        return None
+    parts = []
+    for problem, (keep, terms) in zip(problems, cones):
+        tree = _branch_cliques(problem, terms, keep)
+        if tree is None:
+            return None
+        parts.append((terms, keep, tree))
+    return _CliqueTerms(parts)
 
 
 def _run(
@@ -1121,7 +1109,7 @@ def _run(
     w = np.concatenate([1.0 / (p.sigma * p.sigma) for p in problems])
     z = np.concatenate([p.z for p in problems])
     W, iterations, statuses, bounds = _interior_point(
-        op, w, z, W, config.convergence_tol, config.max_iterations
+        op, w, z, W, config.convergence_tol
     )
     res = z - op.values(W)[: len(z)]
     reports = []

@@ -30,16 +30,15 @@ from sdpse.solver import (
     SolveReport,
     SolverConfig,
     _chol,
-    _cone,
     _band_chol,
     _best_bound,
+    _cliques,
     _eigs,
     _factor_spd,
     _interior_point,
     _linearize,
-    _solve,
+    _reduce,
     _step_length,
-    _Terms,
     solve,
     solve_many,
 )
@@ -179,18 +178,30 @@ def test_degenerate_w_rejected():
         extract_state(np.zeros((4, 4)), [0])
 
 
-def test_iteration_cap_reports_max_iter():
-    model, mats, V, prob, report = solve_chain(config=SolverConfig(max_iterations=3))
+def test_iteration_cap_reports_max_iter(monkeypatch):
+    monkeypatch.setattr(sdpse.solver, "MAX_ITERATIONS", 3)
+    model, mats, V, prob, report = solve_chain()
     assert report.status == "max_iter"
     assert report.iterations == 3
     assert np.all(np.isfinite(report.W))
 
 
 def test_solver_config_round_trip():
-    cfg = SolverConfig(convergence_tol=1e-7, max_iterations=150)
+    cfg = SolverConfig(convergence_tol=1e-7)
     model, mats, V, prob, report = solve_chain(n=4, seed=2, config=cfg)
     assert report.status == "converged"
     assert report.iterations <= 150
+
+
+@pytest.mark.parametrize(
+    "tol", [0, -1, float("nan"), float("inf"), 1.0, 10, "1e-3"],
+    ids=["zero", "negative", "nan", "inf", "one", "ten", "string"],
+)
+def test_meaningless_tolerance_rejected(tol):
+    # From tol 1 up the start itself passes the gap test, so such a solve
+    # would report "converged" after 0 iterations.
+    with pytest.raises(ValidationError, match="convergence_tol must be"):
+        SolverConfig(convergence_tol=tol)
 
 
 def test_vmag_sigma_transform():
@@ -223,8 +234,8 @@ def gram_case(model, plan_kind, repair):
     if repair:
         meas, _ = repair_observability(model, mats, meas, "negate")
     prob = assemble_problem(mats, meas, anchors=[0])
-    keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
-    return prob, keep, _Terms(prob, keep)
+    keep, terms = _reduce(prob)
+    return prob, keep, terms
 
 
 def reference_rows(m, d):
@@ -402,8 +413,7 @@ def test_newton_step_matches_dense_newton(doc, steps):
         model, mats, state_to_X(V), full_plan(model, mats), NoiseSpec(level=2, seed=0)
     )
     prob = assemble_problem(mats, meas, anchors=[0])
-    keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
-    terms = _Terms(prob, keep)
+    keep, terms = _reduce(prob)
     d, z = terms.d, prob.z
     A = np.array([reduced_dense(prob, keep, i) for i in range(terms.m)])
     w = 1.0 / prob.sigma**2
@@ -461,8 +471,7 @@ def vmag_certificate(model, prob):
     -1 on the Vmag rows and 0 elsewhere.  Each Vmag A_i is PSD and every
     node has a Vmag reading in the full plan, so -A^*(lambda) is positive
     definite."""
-    keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
-    terms = _Terms(prob, keep)
+    _, terms = _reduce(prob)
     w = 1.0 / prob.sigma**2
     vmag = np.array([m.kind == "Vmag" for m in prob.measurements])
     assert vmag.sum() == model.n_nodes
@@ -478,12 +487,13 @@ def test_dual_bound_needs_a_psd_certificate():
     model, mats, V, prob, report = solve_chain()
     terms, w, r = vmag_certificate(model, prob)
     z = prob.z
-    bound = _best_bound(terms, w, z, [r])
+    part = terms.parts[0]
+    bound = _best_bound(terms, w, z, [r], part)
     assert bound == pytest.approx(plain_bound(w, z, r), rel=1e-12)
     assert bound <= report.objective
     # lambda > 0 on the Vmag rows makes -A^*(lambda) negative definite.
-    assert np.isnan(_best_bound(terms, w, z, [-r]))
-    assert np.isnan(_best_bound(terms, w, z, []))
+    assert np.isnan(_best_bound(terms, w, z, [-r], part))
+    assert np.isnan(_best_bound(terms, w, z, [], part))
 
 
 def test_best_bound_tries_the_highest_candidate_first():
@@ -494,18 +504,20 @@ def test_best_bound_tries_the_highest_candidate_first():
     # beats r; 2 r is certified and lowest.
     values = [plain_bound(w, z, c) for c in (-r, r / 2, r, 2 * r)]
     assert values == sorted(values, reverse=True)
+    part = terms.parts[0]
     calls = []
     psd = terms.psd
     terms.psd = lambda X: calls.append(1) or psd(X)
     for order in ([r, 2 * r, -r, r / 2], [r / 2, -r, 2 * r, r]):
         calls.clear()
-        bound = _best_bound(terms, w, z, order)
+        bound = _best_bound(terms, w, z, order, part)
         assert bound == pytest.approx(values[1], rel=1e-12)
         assert len(calls) == 2
     calls.clear()
-    assert _best_bound(terms, w, z, [r, r / 2]) == pytest.approx(values[1], rel=1e-12)
+    bound = _best_bound(terms, w, z, [r, r / 2], part)
+    assert bound == pytest.approx(values[1], rel=1e-12)
     assert len(calls) == 1
-    assert np.isnan(_best_bound(terms, w, z, [-r, -2 * r]))
+    assert np.isnan(_best_bound(terms, w, z, [-r, -2 * r], part))
 
 
 def eigenvector_misfit(prob, W):
@@ -535,8 +547,7 @@ def test_polish_ends_where_gauss_newton_predicts_no_descent():
     # dense A_i: its predicted decrease gT H^-1 g is at rounding level.
     prob = radial_problem(2, 2, 0)
     report = solve(prob)
-    n = prob.dim // 2
-    keep = np.array([i for i in range(prob.dim) if i != n + prob.anchors[0]])
+    keep, _ = _reduce(prob)
     X = report.polished_X[keep]
     A = np.stack([reduced_dense(prob, keep, i) for i in range(len(prob.z))])
     w = 1.0 / prob.sigma**2
@@ -772,8 +783,7 @@ def test_repeated_solve_is_deterministic():
         model, mats, state_to_X(V), full_plan(model, mats), NoiseSpec(level=2, seed=0)
     )
     prob = assemble_problem(mats, meas, anchors=[0])
-    keep = np.array([i for i in range(prob.dim) if i != model.n_nodes], dtype=np.intp)
-    assert _Terms(prob, keep)._F is not None
+    assert _reduce(prob)[1]._F is not None
     first, second = solve(prob), solve(prob)
     np.testing.assert_array_equal(first.W, second.W)
     assert first.objective == second.objective
@@ -814,6 +824,24 @@ def anchored_problem(anchors):
     return assemble_problem(mats, meas, anchors=anchors)
 
 
+def test_reduce_drops_each_anchors_imaginary_index():
+    prob = anchored_problem([0, 1, 10])
+    n = prob.dim // 2
+    keep, terms = _reduce(prob)
+    drop = {n + a for a in prob.anchors}
+    assert keep.dtype == np.intp
+    np.testing.assert_array_equal(keep, [i for i in range(prob.dim) if i not in drop])
+    assert terms.d == prob.dim - 3
+
+
+def clique_cone(prob):
+    """The problem's kept indices and its clique cone (``_cliques``)."""
+    cone = _reduce(prob)
+    op = _cliques([prob], [cone])
+    assert op is not None
+    return cone[0], op
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-2])
 @pytest.mark.parametrize(
     "make",
@@ -824,10 +852,13 @@ def anchored_problem(anchors):
     ],
     ids=["tree34", "tree102", "tree34-3-anchors"],
 )
-def test_clique_cone_agrees_with_dense_cone(make, tol):
+def test_clique_cone_agrees_with_dense_cone(make, tol, monkeypatch):
     prob = make()
     config = SolverConfig(convergence_tol=tol)
-    dense = _solve(prob, config, cliques=False)
+    with monkeypatch.context() as patch:
+        # No tree found: the problem takes the dense cone.
+        patch.setattr(sdpse.solver, "_branch_cliques", lambda *args: None)
+        dense = solve(prob, config)
     clique = solve(prob, config)
     assert (dense.blocks, clique.blocks) == (1, prob.dim // 2 - 1)
     assert clique.status == dense.status == "converged"
@@ -845,11 +876,11 @@ def test_clique_cone_agrees_with_dense_cone(make, tol):
     # by the overlap rows' residual (about 5e-9 on the 102-bus tree), so no
     # PSD matrix has exactly these blocks; the completion moves them by up
     # to about 5e-6 there, well inside sqrt(residual) = 7e-5.
-    keep, _, op = _cone(prob)
+    keep, op = clique_cone(prob)
     w = 1.0 / prob.sigma**2
-    blocks = _interior_point(op, w, prob.z, op.identity(0.1), tol, 200)[0]
+    blocks = _interior_point(op, w, prob.z, op.identity(0.1), tol)[0]
     X = clique.W[np.ix_(keep, keep)]
-    np.testing.assert_array_equal(X, op.complete(blocks))
+    np.testing.assert_array_equal(X, op.complete(blocks, op.parts[0]))
     vals = np.linalg.eigvalsh(X)
     assert vals[0] >= -1e-9 * vals[-1]
     np.testing.assert_allclose(
@@ -889,13 +920,7 @@ def test_clique_rule_sides():
     # baddata-sweep: the 10-bus chain with the full plan (d = 19).
     assert solve_chain(n=10)[4].blocks == 1
     # cli-multiphase: coupled phases, not a tree.
-    model = netgen.model_from(multiphase_head_doc())
-    mats = build_matrix_set(model)
-    meas = synthesize(
-        model, mats, state_to_X(netgen.random_state(model, seed=2)),
-        full_plan(model, mats), NoiseSpec(level=2, seed=0),
-    )
-    multiphase = assemble_problem(mats, meas, anchors=[0])
+    multiphase = multiphase_problem()
     assert solve(multiphase).blocks == 1
     # A batch takes one forest of clique blocks when every problem is a
     # tree with an anchor and their reduced dimensions sum to at least
@@ -924,6 +949,17 @@ def test_clique_rule_sides():
     assert [r.blocks for r in solve_many(chains, started)] == [1, 1, 1]
 
 
+def multiphase_problem():
+    """The multiphase head with its full plan at L2."""
+    model = netgen.model_from(multiphase_head_doc())
+    mats = build_matrix_set(model)
+    meas = synthesize(
+        model, mats, state_to_X(netgen.random_state(model, seed=2)),
+        full_plan(model, mats), NoiseSpec(level=2, seed=0),
+    )
+    return assemble_problem(mats, meas, anchors=[0])
+
+
 def plan_problems(n, size, vmag_buses=(0,)):
     """The sub-network problems of ``netgen.anchored_plan_case(n, size,
     vmag_buses)`` at L2, prepared as ``estimate_decoupled`` prepares them."""
@@ -938,6 +974,20 @@ def assert_same_report(report, reference):
             np.testing.assert_array_equal(a, b)
         else:
             assert a == b or (a != a and b != b), field.name
+
+
+@pytest.mark.parametrize(
+    "make, blocks",
+    [(lambda: radial_problem(2, 2, 0), 33), (multiphase_problem, 1)],
+    ids=["tree34", "multiphase-head"],
+)
+def test_batch_of_one_is_solve(make, blocks):
+    # One problem takes the same rule's cone in both entries: the clique
+    # cone of the 34-bus tree, the dense cone of the multiphase head.
+    prob = make()
+    report = solve(prob)
+    assert report.blocks == blocks
+    assert_same_report(solve_many([prob])[0], report)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-2])
@@ -1009,15 +1059,16 @@ def test_clique_rule_threshold():
         assert report.blocks == blocks
 
 
-def test_clique_schur_band_matches_dense_reference():
+def test_clique_schur_band_matches_dense_reference(monkeypatch):
     # At a mid-run iterate of the 34-bus tree, the band-stored Schur matrix
     # against sum_K Tr(C_i^K W_K C_j^K W_K) from the dense 4 x 4
     # coefficient matrix of every row on every block, and its banded solve
     # against a dense one.
     prob = radial_problem(2, 2, 0)
-    _, _, op = _cone(prob)
+    _, op = clique_cone(prob)
     w = 1.0 / prob.sigma**2
-    W = _interior_point(op, w, prob.z, op.identity(0.1), 1e-9, 8)[0]
+    monkeypatch.setattr(sdpse.solver, "MAX_ITERATIONS", 8)
+    W = _interior_point(op, w, prob.z, op.identity(0.1), 1e-9)[0]
     N, m, bw = op.n_rows, len(w), op.bandwidth
     C = np.zeros((N, op.blocks * 16))
     np.add.at(C, (op.row, op.flat), op.c)
@@ -1049,7 +1100,7 @@ def test_clique_schur_storage_at_1000_buses():
     # N = m + h = 6034 rows; the RCM band is 42 wide, so the Schur storage
     # is 43 x 6034, not 6034 x 6034.  Construction only.
     prob = tree_problem(1000, 2, 0)
-    _, _, op = _cone(prob)
+    _, op = clique_cone(prob)
     assert (op.blocks, op.n_rows) == (999, 6034)
     assert op.bandwidth <= 64
     assert op.gram(op.identity(0.1), None).shape == (op.bandwidth + 1, op.n_rows)
