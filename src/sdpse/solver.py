@@ -38,15 +38,24 @@ shared.
 
 * Dense: W is one d x d matrix.  The Gram matrix G is built from a
   support-row table: one sparse row per measurement i and index a whose row
-  of A_i is nonzero (ns rows in all), so one product with the table gives
-  every nonzero row of every A_i What or A_i R.  When m d^2 <= ns^2 (d the
-  reduced dimension) G is the Gram matrix of the symmetric d x d matrices
-  R^T A_i R, each packed to its upper triangle; otherwise G sums the ns x ns
-  Hadamard product K o K^T, with K = (M What) restricted to the support
-  indices, over the owners of its rows.  Both are exact; the rule only picks
-  the smaller amount of work.  The term products are ``np.bincount`` sums
-  over the row-sorted term table, and the factor and solves call LAPACK's
-  ``dpotrf``/``dpotrs`` directly, reading ``info``.
+  of A_i is nonzero (ns rows in all), so one product ``Q = M What`` gives
+  every nonzero row of every A_i What.  When m d^2 <= 4 ns^2 (d the reduced
+  dimension) G[i, j] = <A_i, What A_j What> is read off What A_j What at
+  the upper-triangle positions where some A_i has a term, as SDPA builds
+  the Schur matrix of a sparse SDP (Fujisawa, Kojima & Nakata, Math.
+  Programming 79, 1997): Q is scattered into a buffer of fixed pattern, one
+  batched product with rows of What gives What A_j What at those positions
+  for every j, and one sparse product with the positions' coefficients
+  gives G, averaged with its transpose.  Near a rank-one optimum that sum
+  loses G's PSD structure to rounding, so once G's diagonal passes 1e12
+  times the smallest Sigma/2 the solve goes on with G = P^T P, P the packed
+  upper triangles of R^T A_i R, which stays PSD to rounding.  Otherwise G
+  sums the ns x ns Hadamard product K o K^T, with K = Q restricted to the
+  support indices, over the owners of its rows.  All are exact and exactly
+  symmetric; the rule, measured (``_Terms``), only picks the smaller amount
+  of work.  The term products are ``np.bincount`` sums over the row-sorted
+  term table, and the factor and solves call LAPACK's ``dpotrf``/``dpotrs``
+  directly, reading ``info``.
 * Clique (``_CliqueTerms``): when the node graph of the terms is a tree and
   d is at least ``CLIQUE_MIN_DIM``, W PSD is replaced by one 4 x 4 PSD block
   per branch {parent(a), a}, on the re/im slots of its two nodes, and W is
@@ -147,6 +156,16 @@ if TYPE_CHECKING:
 # (the banded one moved it lower: _branch_cliques).
 CLIQUE_MIN_DIM = 39
 
+# Entries of the dense cone's term-side Gram buffer (16 MB); a larger one is
+# taken in chunks of readings, which also run faster out of cache (one Gram
+# on the 102-bus full-plan tree: 75 ms in one chunk, 47 ms in eight).
+_F_ENTRIES = 1 << 21
+
+# The dense cone's term-side G is used while its largest diagonal entry is
+# at most this multiple of the smallest diagonal shift Sigma/2 of the Schur
+# system; beyond, each solve takes the packed Gram form (``_Terms``).
+_SCHUR_RANGE = 1e12
+
 # The per-unit start's diagonal; the clique cone pins its pads to it, so
 # that the start meets the pins.
 _W0 = 0.1
@@ -193,6 +212,9 @@ class SolveReport:
     # PSD blocks of the cone: 1 on the dense cone, one per branch on the
     # clique cone.
     blocks: int = 1
+    # The largest |Rp| over the problem's rows at the returned iterate:
+    # z - r - A(W) on the readings, b - B(W) on the clique cone's hard rows.
+    primal_residual: float = float("nan")
 
 
 @dataclass
@@ -250,30 +272,95 @@ class _Terms(_Cone):
     """Flattened sparse terms of all coefficient matrices on the reduced
     (anchor-eliminated) index set, and the dense cone on them.
 
-    The Gram matrix ``G[i, j] = Tr(A_i W A_j W)`` is built from a support-row
-    table: one row r = (i, a) per measurement i and index a whose row of A_i
-    is nonzero, with ``M[r] = A_i[a]`` (sparse, ns x d), owner ``own[r] = i``
-    and index ``sup[r] = a``.  ``M @ X`` then holds every nonzero row of
-    every ``A_i X``.  Two exact ways finish the sum; the one with less work is
-    fixed per solve:
+    The Gram matrix ``G[i, j] = Tr(A_i W A_j W)`` reads a support-row table:
+    one row r = (i, a) per measurement i and index a whose row of A_i is
+    nonzero, with ``M[r] = A_i[a]`` (sparse, ns x d), owner ``own[r] = i``
+    and index ``sup[r] = a``.  ``Q = M @ W`` then holds every nonzero row of
+    every ``A_i W``, ``Q[r, b] = (A_i W)[a, b]``.  Two exact ways finish the
+    sum; the one with less work is fixed per solve, and the term side hands
+    over to a third near the optimum (below):
 
-    * dense side, when m d^2 <= ns^2: with W = L L^T,
-      ``G[i, j] = <L^T A_i L, L^T A_j L>``.  ``Q = M @ L`` is scattered into
-      a (d, m, d) buffer F with ``F[a, i] = (A_i L)[a]`` (its nonzero
-      positions never change, so it is allocated once and never re-zeroed),
-      one product ``L^T @ F`` gives every ``L^T A_i L``, and their upper
-      triangles, off-diagonal entries weighted by sqrt(2), are packed into
-      the columns of P, so that ``G = P^T P`` (exactly symmetric);
-    * support-row side, otherwise: with ``Q = M @ W`` and
-      ``Q[r, b] = (A_i W)[a, b]``,
+    * term side, when m d^2 <= 4 ns^2: ``G[i, j] = <A_i, W A_j W>`` needs
+      W A_j W only at the set U of upper-triangle positions (c, b), c <= b,
+      where some A_i has a term (Fujisawa, Kojima & Nakata, Math.
+      Programming 79, 1997, their formula F2).  Q is scattered into a
+      (d, d, m) buffer F with ``F[b, a, j] = (A_j W)[a, b]``; its nonzero
+      positions never change, so it is allocated once and never re-zeroed.
+      One batched product ``W[rows] @ F``, ``rows[b]`` the rows c of U in
+      column b padded to the longest list (k), gives ``(W A_j W)[c, b]`` for
+      every j, and one sparse product with A_U, the m x |U| coefficients at
+      U with off-diagonal ones doubled, finishes G, set to (G + G^T) / 2:
+      d^2 k m + |U| m multiply-adds.  A buffer of more than ``_F_ENTRIES``
+      entries is taken in chunks of readings, each chunk's entries cleared
+      after its product.
+    * support-row side, otherwise:
 
           G[i, j] = sum over r = (i, a), t = (j, b) of Q[r, b] * Q[t, a],
 
-      taken as ``K = Q[:, sup]`` (ns x ns) and
-      ``G = Sel (K o K^T) Sel^T``, Sel the m x ns owner selector.
+      taken as ``K = Q[:, sup]`` (ns x ns) and ``G = Sel (K o K^T) Sel^T``,
+      Sel the m x ns owner selector, its upper triangle mirrored from the
+      lower one, which is the one the factor reads.
 
-    F and Sel are built at the first ``gram`` call: the clique cone uses the
-    table only for the polish, and never calls it.
+    Crossover: time of one Gram in ms, term / support side (10th percentile
+    of 30 to 200 calls at a random positive definite W, one BLAS thread,
+    2-core x86-64 host), on problems built as ``test_gram_matches_reference``
+    builds its cases (truth seed 2, L0, anchor 0; the full plan, or the
+    one-sided one with negate repair): chain ``chain_doc(10, seed=3)``,
+    trees ``tree_doc(n, seed=7, trunk_bias=3)`` (the 200-bus one
+    ``seed=9``), meshed ``tree_doc(n, seed=5, meshed_extra=e)``, the
+    multiphase feeder and its 13-node head:
+
+        problem                      m     d     ns  m d^2/ns^2   term / support
+        chain 10, full              66    19    267     0.33      0.09 /   0.36
+        head, full                 151    25    729     0.18      0.38 /   3.38
+        head, one-sided             93    25    378     0.41      0.17 /   0.73
+        multiphase, full           494    75   2487     0.45      7.27 /  87.6
+        multiphase, one-sided      294    75   1182     1.18      3.64 /  11.5
+        tree 34, full              234    67    987     1.08      1.37 /   4.90
+        tree 34, one-sided         102    67    400     2.86      0.49 /   0.77
+        meshed 34 (e=6), one-s.    120    67    476     2.38      0.72 /   0.83
+        meshed 50 (e=8), one-s.    174    99    694     3.54      1.75 /   2.11
+        tree 102, full             710   203   3027     3.19     52.7  / 143
+        tree 50, one-sided         150    99    592     4.19      1.29 /   1.68
+        meshed 80 (e=10), one-s.   270   159   1079     5.86     10.5  /   8.04
+        tree 102, one-sided        306   203   1216     8.53     13.0  /  14.8
+        tree 200, one-sided        600   399   2397    16.6     230    / 107
+
+    Both sides read memory more than they compute, so the rule compares the
+    term side's buffer, m d^2, with the support side's K, ns^2.  Between a
+    ratio of about 3.5 and 9 the two tie within the timing's spread (other
+    runs of the same cases gave either side the 50- and 102-bus one-sided
+    trees); above it the support side wins, below it the term side, by up to
+    12x.  The rule's 4 sits at the low end of the tie.
+
+    Near a rank-one optimum the term side's G, a sum of entries of a W whose
+    eigenvalues spread over many orders of magnitude, loses the PSD
+    structure of G to rounding: on a draw of the 13-node head whose solve
+    failed, the smallest eigenvalue of G + Sigma/2, which the readings'
+    Sigma/2 (1.1e-8 there) keeps positive, came out negative one iteration
+    before the packed form's.  So once G's largest diagonal entry passes
+    ``_SCHUR_RANGE`` times the smallest Sigma/2, the solve goes on with the
+    packed form: with W = R R^T, ``G = P^T P``, P's column j the upper
+    triangle of R^T A_j R with off-diagonal entries weighted by sqrt(2),
+    which is PSD to rounding whatever W's spread.  ``Z[a, j] = (A_j R)[a]``
+    is scattered from ``M @ R`` into its own (d, m, d) buffer, allocated
+    once and never re-zeroed, and one product ``R^T @ Z`` gives every R^T
+    A_j R.  That takes the last fifth of the iterations.  Solves that end
+    in ``numerical_failure`` on the 13-node head, full plan, tol 1e-9,
+    truth and noise seed s:
+
+        G                               L2, s < 5000    L1, s < 2000
+        packed form alone                    0              112
+        term side alone                 1 of s < 1500       214
+        term side, then packed form          0              119
+
+    119 against 112 is within the draw-to-draw spread (about 15 at these
+    counts).  Those failures are the dense cone's stall near a rank-one
+    optimum, which no form of G removes.
+
+    The positions, the buffers and Sel are built at the first ``gram`` call
+    that needs them: the clique cone uses the table only for the polish, and
+    never calls it.
     """
 
     blocks = 1
@@ -309,19 +396,49 @@ class _Terms(_Cone):
         self.sup = self.p[starts]
         indptr = np.append(starts, self.n_terms)
         self.M = sp.csr_matrix((self.c, self.q, indptr), shape=(ns, d))
-        self._dense_side = m * d * d <= ns * ns
+        self._term_side = m * d * d <= 4 * ns * ns
+        # Sigma/2 is half the reading variances.
+        self._packed_above = _SCHUR_RANGE * 0.5 * float(np.min(problem.sigma)) ** 2
+        self._packed = False
         self.parts = [_Part(slice(0, m), slice(0, 0), slice(None), d, 1)]
 
     @cached_property
-    def _F(self) -> Optional[np.ndarray]:
-        """The dense side's (d, m, d) buffer; None on the support-row side."""
-        return np.zeros((self.d, self.m, self.d)) if self._dense_side else None
+    def _positions(self) -> Tuple[np.ndarray, sp.csr_matrix]:
+        """The upper-triangle term positions U, the (c, b) with c <= b at
+        which some A_i has a term: for each column b its rows c, padded with
+        row 0 to the longest list (d x k), and A_U, the m x d k CSR that
+        puts every term's coefficient at its position's slot b k + t (the
+        terms at (c, b) and (b, c) summed, so off-diagonal ones doubled)."""
+        m, d = self.m, self.d
+        lo, hi = np.minimum(self.p, self.q), np.maximum(self.p, self.q)
+        at = np.zeros((d, d), dtype=np.intp)
+        at[hi, lo] = 1
+        col, row = np.nonzero(at)
+        t = np.arange(len(col)) - np.searchsorted(col, col)
+        k = int(t.max(initial=0)) + 1
+        rows = np.zeros((d, k), dtype=np.intp)
+        rows[col, t] = row
+        at[col, row] = col * k + t
+        # The terms are sorted by row: CSR as they stand, the two terms of an
+        # off-diagonal position summed by the product.
+        indptr = np.searchsorted(self.row, np.arange(m + 1))
+        A_U = sp.csr_matrix((self.c, at[hi, lo], indptr), shape=(m, d * k))
+        return rows, A_U
 
     @cached_property
-    def _pack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The upper triangle's indices and their sqrt(2) packing weights."""
-        iu, ju = np.triu_indices(self.d)
-        return iu, ju, np.where(iu == ju, 1.0, np.sqrt(2.0))[:, None]
+    def _chunks(self) -> Tuple[np.ndarray, list]:
+        """The term side's buffer F, (d, d, w) with ``F[b, a, j] = (A_j X)[a,
+        b]`` for the w readings of one chunk (at most ``_F_ENTRIES`` entries
+        unless w = 1), and per chunk its readings, its support rows and where
+        their entries land in ``F.reshape(d, d w)``."""
+        m, d = self.m, self.d
+        w = -(-m // -(-m * d * d // _F_ENTRIES))
+        chunks = []
+        for j in range(0, m, w):
+            r0, r1 = np.searchsorted(self.own, [j, j + w])
+            at = self.sup[r0:r1] * w + self.own[r0:r1] - j
+            chunks.append((slice(j, min(j + w, m)), slice(r0, r1), at))
+        return np.zeros((d, d, w)), chunks
 
     @cached_property
     def Sel(self) -> sp.csr_matrix:
@@ -330,19 +447,67 @@ class _Terms(_Cone):
             (np.ones(ns), (self.own, np.arange(ns))), shape=(self.m, ns)
         )
 
-    def gram(self, W: np.ndarray, L: np.ndarray) -> np.ndarray:
-        """G[i, j] = Tr(A_i W A_j W), given W and a square factor L with
-        W = L L^T."""
-        if self._dense_side:
-            m, d, F = self.m, self.d, self._F
-            iu, ju, pack_w = self._pack
-            F[self.sup, self.own] = self.M @ L
-            B = (L.T @ F.reshape(d, m * d)).reshape(d, m, d)
-            P = B[iu, :, ju]
-            P *= pack_w
-            return P.T @ P
+    @cached_property
+    def _pack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The packed form's (d, m, d) buffer, never re-zeroed, and the
+        upper triangle's indices with their sqrt(2) packing weights."""
+        iu, ju = np.triu_indices(self.d)
+        weight = np.where(iu == ju, 1.0, np.sqrt(2.0))[:, None]
+        return np.zeros((self.d, self.m, self.d)), iu, ju, weight
+
+    def gram(self, W: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """G[i, j] = Tr(A_i W A_j W), given W and a square factor R with
+        W = R R^T, by the side the rule picks.  On the term side, once G's
+        largest diagonal entry passes ``_packed_above``, this and every
+        later call take the packed form."""
+        if not self._term_side:
+            return self.gram_support(W)
+        if not self._packed:
+            G = self.gram_terms(W)
+            if _diagonal(G).max() <= self._packed_above:
+                return G
+            self._packed = True
+        return self.gram_packed(R)
+
+    def gram_terms(self, W: np.ndarray) -> np.ndarray:
+        """<A_i, W A_j W> from W A_j W at the term positions U, exactly
+        symmetric.  The support rows' entries of F are cleared after use
+        when F holds one chunk of several; its other entries stay zero."""
+        rows, A_U = self._positions
+        F, chunks = self._chunks
+        flat = F.reshape(self.d, -1)
+        QT = (self.M @ W).T
+        Wr = W[rows]
+        G = np.empty((self.m, self.m))
+        for cols, sr, at in chunks:
+            flat[:, at] = QT[:, sr]
+            n = cols.stop - cols.start
+            G[:, cols] = A_U @ (Wr @ F[:, :, :n]).reshape(-1, n)
+            if len(chunks) > 1:
+                flat[:, at] = 0.0
+        return 0.5 * (G + G.T)
+
+    def gram_packed(self, R: np.ndarray) -> np.ndarray:
+        """G = P^T P, P's column j the upper triangle of R^T A_j R with
+        off-diagonal entries weighted by sqrt(2): exactly symmetric, and PSD
+        to rounding.  ``Q = M @ R`` is scattered into the buffer Z with
+        ``Z[a, j] = (A_j R)[a]``, and one product ``R^T @ Z`` gives every
+        R^T A_j R."""
+        m, d = self.m, self.d
+        Z, iu, ju, weight = self._pack
+        Z[self.sup, self.own] = self.M @ R
+        B = (R.T @ Z.reshape(d, m * d)).reshape(d, m, d)
+        P = B[iu, :, ju]
+        P *= weight
+        return P.T @ P
+
+    def gram_support(self, W: np.ndarray) -> np.ndarray:
+        """G from the support-row table's Hadamard product, exactly
+        symmetric."""
         K = (self.M @ W)[:, self.sup]
-        return self.Sel @ (self.Sel @ (K * K.T)).T
+        G = self.Sel @ (self.Sel @ (K * K.T)).T
+        # Mirrored from the lower triangle, the one the factor reads.
+        return np.tril(G) + np.tril(G, -1).T
 
     def factor_schur(self, G: np.ndarray, shift: np.ndarray) -> Optional[np.ndarray]:
         """The factor of G plus ``shift`` on the diagonal of the first rows
@@ -946,7 +1111,8 @@ def _interior_point(op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float)
     """The primal-dual iteration on op's cone from W, on all of its parts at
     once: one step length, mu and sigma, and a stop once every part meets
     the stopping test on its own blocks and rows.  Returns the last iterate
-    W, the iterations taken, and each part's status and dual bound."""
+    W, the iterations taken, and each part's status, dual bound and largest
+    primal residual |Rp| at W."""
     m, size, parts = len(z), op.size, op.parts
     AW = op.values(W)
     res = z - AW[:m]
@@ -1016,7 +1182,13 @@ def _interior_point(op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float)
     else:
         statuses = ["converged" if ok else "max_iter" for ok in done]
     bounds = [_best_bound(op, w, z, c, part) for c, part in zip(feasible, parts)]
-    return W, iterations, statuses, bounds
+    AW = op.values(W)
+    Rp = np.abs(np.concatenate([z - r[:m] - AW[:m], op.b - AW[m:]]))
+    residuals = [
+        float(np.concatenate([Rp[part.reads], Rp[m:][part.hard]]).max())
+        for part in parts
+    ]
+    return W, iterations, statuses, bounds, residuals
 
 
 def solve(problem: SdpProblem, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -1108,13 +1280,13 @@ def _run(
     and its rank-1 ratio."""
     w = np.concatenate([1.0 / (p.sigma * p.sigma) for p in problems])
     z = np.concatenate([p.z for p in problems])
-    W, iterations, statuses, bounds = _interior_point(
+    W, iterations, statuses, bounds, residuals = _interior_point(
         op, w, z, W, config.convergence_tol
     )
     res = z - op.values(W)[: len(z)]
     reports = []
-    for problem, (keep, terms), part, status, dual_bound in zip(
-        problems, cones, op.parts, statuses, bounds
+    for problem, (keep, terms), part, status, dual_bound, primal_residual in zip(
+        problems, cones, op.parts, statuses, bounds, residuals
     ):
         a = part.reads
         objective = float(np.dot(w[a], res[a] * res[a]))
@@ -1146,6 +1318,7 @@ def _run(
                 rank1_ratio_raw=ratio_raw,
                 dual_bound=dual_bound,
                 blocks=part.count,
+                primal_residual=primal_residual,
             )
         )
     return reports

@@ -155,6 +155,21 @@ def multiphase_feeder_doc() -> dict:
     return doc
 
 
+def trim(doc: dict, keep) -> dict:
+    """The sub-feeder on the listed buses: the branches between them keep
+    their ids and impedances, branches leaving the set are dropped.  The
+    benchmark's ``bench/feeders.py`` cuts its multiphase head the same way."""
+    keep_set = set(keep)
+    return {
+        "buses": [b for b in doc["buses"] if b["id"] in keep_set],
+        "branches": [
+            br
+            for br in doc["branches"]
+            if br["from"]["bus"] in keep_set and br["to"]["bus"] in keep_set
+        ],
+    }
+
+
 def model_from(doc: dict) -> NetworkModel:
     return parse_network(doc)
 

@@ -252,49 +252,77 @@ def random_pd(d, seed):
 
 
 GRAM_CASES = pytest.mark.parametrize(
-    "doc, plan_kind, repair, dense_side, max_support",
+    "doc, plan_kind, repair, term_side, max_support",
     [
         (lambda: netgen.chain_doc(6, seed=4), "full", False, True, 6),
+        (lambda: netgen.tree_doc(34, seed=7, trunk_bias=3), "full", False, True, 8),
         (lambda: netgen.tree_doc(200, seed=9), "one_sided", True, False, 13),
         (netgen.multiphase_feeder_doc, "full", False, True, 24),
-        (netgen.multiphase_feeder_doc, "one_sided", True, False, 8),
+        (netgen.multiphase_feeder_doc, "one_sided", True, True, 8),
     ],
-    ids=["chain6-full", "tree200-one-sided", "multiphase-full", "multiphase-one-sided"],
+    ids=[
+        "chain6-full", "tree34-full", "tree200-one-sided", "multiphase-full",
+        "multiphase-one-sided",
+    ],
 )
 
 
 @GRAM_CASES
-def test_gram_matches_reference(doc, plan_kind, repair, dense_side, max_support):
+def test_gram_matches_reference(doc, plan_kind, repair, term_side, max_support):
     model = netgen.model_from(doc())
     prob, keep, terms = gram_case(model, plan_kind, repair)
     m, d = terms.m, terms.d
     # Support rows: the (measurement, index) pairs whose row of A_i is nonzero.
     pairs = {(int(i), int(a)) for i, a in zip(terms.row, terms.p)}
     ns = len(pairs)
-    assert (m * d * d <= ns * ns) == dense_side
-    assert (terms._F is not None) == dense_side
+    # The measured crossover of the _Terms docstring.
+    assert (m * d * d <= 4 * ns * ns) == term_side
     assert max(np.bincount([i for i, _ in pairs])) == max_support
     ids = reference_rows(m, d)
     A = np.array([reduced_dense(prob, keep, i) for i in ids])
     # Two different W in a row: entries left over from the first call must
-    # not leak into the second.
+    # not leak into the second.  Every formula is exact, whichever the rule
+    # picks; on the 200-bus tree the term side's (d, d, m) buffer would be
+    # 764 MB, so it runs there in chunks of readings.
     for seed in (3, 5):
         W = random_pd(d, seed)
         L = _chol(W)
-        G = terms.gram(W, L)
-        assert G.shape == (m, m)
-        if dense_side:
-            # P^T P fills one triangle and mirrors it.
-            assert np.array_equal(G, G.T)
         AW = A @ W
         ref = np.tensordot(AW, AW, axes=([1, 2], [2, 1]))
-        np.testing.assert_allclose(
-            G[np.ix_(ids, ids)], ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max()
-        )
+        formulas = [terms.gram_terms(W), terms.gram_support(W)]
+        if term_side:
+            # The packed form, which the term side hands over to, keeps an
+            # unchunked (d, m, d) buffer.
+            formulas.append(terms.gram_packed(L))
+        for G in formulas:
+            assert G.shape == (m, m)
+            assert np.array_equal(G, G.T)
+            np.testing.assert_allclose(
+                G[np.ix_(ids, ids)], ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max()
+            )
+        picked = terms.gram_terms(W) if term_side else terms.gram_support(W)
+        np.testing.assert_array_equal(terms.gram(W, L), picked)
+    assert (len(terms._chunks[1]) > 1) == (m * d * d > sdpse.solver._F_ENTRIES)
+
+
+def test_term_side_hands_over_to_the_packed_form():
+    # Once G's largest diagonal entry passes _packed_above, this and every
+    # later Gram of the solve is the packed form.
+    terms = _reduce(multiphase_problem())[1]
+    assert terms._term_side
+    W = random_pd(terms.d, 3)
+    # G scales as the square of W: one W below the bound, one above.
+    top = np.diag(terms.gram_terms(W)).max()
+    small, big = (np.sqrt(f * terms._packed_above / top) * W for f in (0.5, 2.0))
+    G = terms.gram(small, _chol(small))
+    np.testing.assert_array_equal(G, terms.gram_terms(small))
+    for X in (big, small):
+        L = _chol(X)
+        np.testing.assert_array_equal(terms.gram(X, L), terms.gram_packed(L))
 
 
 @GRAM_CASES
-def test_term_table_matches_reference(doc, plan_kind, repair, dense_side, max_support):
+def test_term_table_matches_reference(doc, plan_kind, repair, term_side, max_support):
     model = netgen.model_from(doc())
     prob, keep, terms = gram_case(model, plan_kind, repair)
     m, d = terms.m, terms.d
@@ -339,17 +367,11 @@ def test_factor_of_pd_matrix():
 
 
 def multiphase_head_doc():
-    """The 5-bus, 13-node head of the multiphase feeder (650 down to 646)."""
-    doc = netgen.multiphase_feeder_doc()
-    keep = {"650", "RG60", "632", "645", "646"}
-    return {
-        "buses": [b for b in doc["buses"] if b["id"] in keep],
-        "branches": [
-            br
-            for br in doc["branches"]
-            if br["from"]["bus"] in keep and br["to"]["bus"] in keep
-        ],
-    }
+    """The 5-bus, 13-node head of the multiphase feeder (650 down to 646),
+    the feeder of the ``cli-multiphase`` benchmark workload."""
+    return netgen.trim(
+        netgen.multiphase_feeder_doc(), ["650", "RG60", "632", "645", "646"]
+    )
 
 
 def svec_helpers(d):
@@ -774,7 +796,7 @@ def test_non_pd_initial_w_falls_back_to_identity():
 
 
 def test_repeated_solve_is_deterministic():
-    # The dense-side Gram reuses one buffer across iterations without
+    # The term-side Gram reuses one buffer across iterations without
     # re-zeroing it; nothing may carry over from one solve into the next.
     model = netgen.model_from(netgen.chain_doc(6, seed=0))
     mats = build_matrix_set(model)
@@ -783,7 +805,7 @@ def test_repeated_solve_is_deterministic():
         model, mats, state_to_X(V), full_plan(model, mats), NoiseSpec(level=2, seed=0)
     )
     prob = assemble_problem(mats, meas, anchors=[0])
-    assert _reduce(prob)[1]._F is not None
+    assert _reduce(prob)[1]._term_side
     first, second = solve(prob), solve(prob)
     np.testing.assert_array_equal(first.W, second.W)
     assert first.objective == second.objective
@@ -1021,6 +1043,25 @@ def test_batch_agrees_with_solo_solves(n, size, vmag_buses, tol):
         assert joint.dual_bound <= joint.objective
 
 
+def test_primal_residual_is_reported():
+    # The largest |Rp| at the returned iterate over the problem's own rows.
+    # On the clique cone those include the hard rows, whose b - B(W) the
+    # solved blocks give.  Near a rank-one optimum it grows well above the
+    # rounding of z: about 1e-8 on the 34-bus tree at tol 1e-9, 4e-6 with
+    # that tree's full plan at L0.
+    prob = radial_problem(2, 2, 0)
+    _, op = clique_cone(prob)
+    W = _interior_point(op, 1.0 / prob.sigma**2, prob.z, op.identity(0.1), 1e-9)[0]
+    report = solve(prob)
+    hard = np.abs(op.b - op.values(W)[op.m:]).max()
+    assert 0.0 < hard <= report.primal_residual < 1e-6
+    # The dense cone has readings only; a batch reports each part's own.
+    assert 0.0 < solve(multiphase_problem()).primal_residual < 1e-5
+    residuals = [r.primal_residual for r in solve_many(plan_problems(96, 8))]
+    assert max(residuals) < 1e-6
+    assert len(set(residuals)) == len(residuals)
+
+
 def test_batch_falls_back_to_solo_solves_on_joint_failure(monkeypatch):
     # A numerical failure of the joint loop hands every part to ``solve``,
     # so each report is the part's own, bit for bit.
@@ -1112,6 +1153,38 @@ def test_clique_solve_at_400_buses():
     assert report.blocks == 399
     assert report.status == "converged"
     assert report.dual_bound <= report.objective
+
+
+@pytest.mark.parametrize(
+    "doc", [lambda: netgen.chain_doc(6, seed=4), multiphase_head_doc],
+    ids=["chain6-full", "multiphase-head-full"],
+)
+def test_dense_cone_ignores_reading_order(doc):
+    # Permuting the readings permutes the rows of A: G permutes with them,
+    # and the polished state does not move.
+    model = netgen.model_from(doc())
+    mats = build_matrix_set(model)
+    meas = synthesize(
+        model, mats, state_to_X(netgen.random_state(model, seed=2)),
+        full_plan(model, mats), NoiseSpec(level=2, seed=0),
+    )
+    order = np.random.default_rng(13).permutation(len(meas))
+    prob = assemble_problem(mats, meas, anchors=[0])
+    prob2 = assemble_problem(mats, [meas[i] for i in order], anchors=[0])
+    terms, terms2 = _reduce(prob)[1], _reduce(prob2)[1]
+    W = random_pd(terms.d, 3)
+    L = _chol(W)
+    G = terms.gram(W, L)
+    np.testing.assert_allclose(
+        terms2.gram(W, L), G[np.ix_(order, order)], rtol=0, atol=1e-12 * np.abs(G).max()
+    )
+    report, report2 = solve(prob), solve(prob2)
+    assert report.blocks == report2.blocks == 1
+    assert report.status == report2.status == "converged"
+    np.testing.assert_allclose(
+        polished_state(report2, prob.anchors), polished_state(report, prob.anchors),
+        rtol=0, atol=1e-8,
+    )
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-2])
