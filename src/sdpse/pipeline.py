@@ -24,7 +24,8 @@ def estimate_with_plan(
     repair_method: Optional[str] = "negate",
 ) -> EstimationResult:
     """Decoupled estimate over a partition plan, merged to full-network
-    indexing."""
+    indexing.  Its status is ``converged`` when every sub-network's is, else
+    that of the first sub-network that did not converge."""
     V, sub_reports = estimate_decoupled(
         model, measurements, plan, config, repair_method
     )
@@ -33,9 +34,9 @@ def estimate_with_plan(
         rank1_ratio=max(s.rank1_ratio for s in sub_reports),
         objective=sum(s.objective for s in sub_reports),
         iterations=sum(s.iterations for s in sub_reports),
-        status="converged"
-        if all(s.status == "converged" for s in sub_reports)
-        else "max_iter",
+        status=next(
+            (s.status for s in sub_reports if s.status != "converged"), "converged"
+        ),
         measurements=list(measurements),
         sub_reports=sub_reports,
     )

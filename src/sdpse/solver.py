@@ -32,30 +32,30 @@ and r; the boundary comes from the smallest eigenvalues of the scaled steps.
 The solve stops once the measured gap <W, S> is below the convergence
 tolerance relative to the objective and the dual residual is small against S.
 
+Near a rank-one optimum W is numerically singular, and the next iterate can
+fail to give a Newton direction (no Cholesky factor of W, of L^T S L or of
+the Schur matrix).  The loop then returns the last iterate that gave one,
+judged per part: ``converged`` when it meets the stopping test, ``stalled``
+when it is dual feasible and its gap meets the test at a tolerance of
+max(tol, 1e-6), else ``numerical_failure``.  A stalled solve is polished and
+returned like a converged one, its status saying that the gap stopped short
+of the tolerance asked for.
+
 The cone comes in two forms, and one loop (``_interior_point``) runs both;
 the step rule, the sigma rule, the stopping test and the dual bound are
 shared.
 
-* Dense: W is one d x d matrix.  The Gram matrix G is built from a
-  support-row table: one sparse row per measurement i and index a whose row
-  of A_i is nonzero (ns rows in all), so one product ``Q = M What`` gives
-  every nonzero row of every A_i What.  When m d^2 <= 4 ns^2 (d the reduced
-  dimension) G[i, j] = <A_i, What A_j What> is read off What A_j What at
-  the upper-triangle positions where some A_i has a term, as SDPA builds
-  the Schur matrix of a sparse SDP (Fujisawa, Kojima & Nakata, Math.
-  Programming 79, 1997): Q is scattered into a buffer of fixed pattern, one
-  batched product with rows of What gives What A_j What at those positions
-  for every j, and one sparse product with the positions' coefficients
-  gives G, averaged with its transpose.  Near a rank-one optimum that sum
-  loses G's PSD structure to rounding, so once G's diagonal passes 1e12
-  times the smallest Sigma/2 the solve goes on with G = P^T P, P the packed
-  upper triangles of R^T A_i R, which stays PSD to rounding.  Otherwise G
-  sums the ns x ns Hadamard product K o K^T, with K = Q restricted to the
-  support indices, over the owners of its rows.  All are exact and exactly
-  symmetric; the rule, measured (``_Terms``), only picks the smaller amount
-  of work.  The term products are ``np.bincount`` sums over the row-sorted
-  term table, and the factor and solves call LAPACK's ``dpotrf``/``dpotrs``
-  directly, reading ``info``.
+* Dense: W is one d x d matrix.  G[i, j] = <A_i, What A_j What> is read off
+  What A_j What at the upper-triangle positions where some A_i has a term,
+  as SDPA builds the Schur matrix of a sparse SDP (Fujisawa, Kojima &
+  Nakata, Math. Programming 79, 1997): one sparse product ``Q = M What``
+  gives every nonzero row of every A_i What, Q is scattered into a buffer of
+  fixed pattern, one batched product with rows of What gives What A_j What
+  at those positions for every j, and one sparse product with the
+  positions' coefficients gives G, averaged with its transpose so that it is
+  exactly symmetric (``_Terms``).  The term products are ``np.bincount``
+  sums over the row-sorted term table, and the factor and solves call
+  LAPACK's ``dpotrf``/``dpotrs`` directly, reading ``info``.
 * Clique (``_CliqueTerms``): when the node graph of the terms is a tree and
   d is at least ``CLIQUE_MIN_DIM``, W PSD is replaced by one 4 x 4 PSD block
   per branch {parent(a), a}, on the re/im slots of its two nodes, and W is
@@ -102,12 +102,13 @@ stacked eigen-decomposition serves all their blocks.  The loop is shared
 (one step length, mu and sigma), but the start's S is scaled per part and
 the stopping test runs per part, on its own blocks and rows: the loop ends
 once every part meets it, and a part that does not at the last iterate
-reports ``max_iter``.  Each part's dual bound comes from its own segment of
-the dual-feasible r and is certified on its own blocks, and its completion,
-polish and rank-1 ratio from its own blocks and term table; its
-``iterations`` are the joint loop's.  Any other batch, and every batch whose
-joint loop ends in ``numerical_failure``, is solved one problem at a time
-by ``solve``, so a problem that fails alone fails as it always did and the
+reports ``max_iter`` (or, after a failed direction, ``stalled`` or
+``numerical_failure``).  Each part's dual bound comes from its own segment
+of the dual-feasible r and is certified on its own blocks, and its
+completion, polish and rank-1 ratio from its own blocks and term table; its
+``iterations`` are the joint loop's.  Any other batch, and every batch with
+a part in ``numerical_failure``, is solved one problem at a time by
+``solve``, so a problem that fails alone fails as it always did and the
 others are untouched.
 
 At an iterate whose dual residual meets the stopping rule, lambda = 2 w o r
@@ -156,15 +157,10 @@ if TYPE_CHECKING:
 # (the banded one moved it lower: _branch_cliques).
 CLIQUE_MIN_DIM = 39
 
-# Entries of the dense cone's term-side Gram buffer (16 MB); a larger one is
+# Entries of the dense cone's Gram buffer (16 MB); a larger one is
 # taken in chunks of readings, which also run faster out of cache (one Gram
 # on the 102-bus full-plan tree: 75 ms in one chunk, 47 ms in eight).
 _F_ENTRIES = 1 << 21
-
-# The dense cone's term-side G is used while its largest diagonal entry is
-# at most this multiple of the smallest diagonal shift Sigma/2 of the Schur
-# system; beyond, each solve takes the packed Gram form (``_Terms``).
-_SCHUR_RANGE = 1e12
 
 # The per-unit start's diagonal; the clique cone pins its pads to it, so
 # that the start meets the pins.
@@ -198,7 +194,9 @@ class SolveReport:
     W: np.ndarray
     objective: float  # weighted misfit of polished_X, or of W when it is None
     iterations: int  # interior-point iterations taken
-    status: str  # converged | max_iter | numerical_failure
+    # converged | stalled (the last iterate with a Newton direction, its gap
+    # within max(tol, 1e-6)) | max_iter | numerical_failure
+    status: str
     # The refined rank-one state; None when the solve failed or W has no
     # positive eigenvalue.
     polished_X: Optional[np.ndarray] = None
@@ -272,95 +270,31 @@ class _Terms(_Cone):
     """Flattened sparse terms of all coefficient matrices on the reduced
     (anchor-eliminated) index set, and the dense cone on them.
 
-    The Gram matrix ``G[i, j] = Tr(A_i W A_j W)`` reads a support-row table:
-    one row r = (i, a) per measurement i and index a whose row of A_i is
-    nonzero, with ``M[r] = A_i[a]`` (sparse, ns x d), owner ``own[r] = i``
-    and index ``sup[r] = a``.  ``Q = M @ W`` then holds every nonzero row of
-    every ``A_i W``, ``Q[r, b] = (A_i W)[a, b]``.  Two exact ways finish the
-    sum; the one with less work is fixed per solve, and the term side hands
-    over to a third near the optimum (below):
+    A support-row table holds one row r = (i, a) per measurement i and index
+    a whose row of A_i is nonzero: ``M[r] = A_i[a]`` (sparse, ns x d), owner
+    ``own[r] = i`` and index ``sup[r] = a``.  ``Q = M @ W`` then holds every
+    nonzero row of every ``A_i W``, ``Q[r, b] = (A_i W)[a, b]``.
 
-    * term side, when m d^2 <= 4 ns^2: ``G[i, j] = <A_i, W A_j W>`` needs
-      W A_j W only at the set U of upper-triangle positions (c, b), c <= b,
-      where some A_i has a term (Fujisawa, Kojima & Nakata, Math.
-      Programming 79, 1997, their formula F2).  Q is scattered into a
-      (d, d, m) buffer F with ``F[b, a, j] = (A_j W)[a, b]``; its nonzero
-      positions never change, so it is allocated once and never re-zeroed.
-      One batched product ``W[rows] @ F``, ``rows[b]`` the rows c of U in
-      column b padded to the longest list (k), gives ``(W A_j W)[c, b]`` for
-      every j, and one sparse product with A_U, the m x |U| coefficients at
-      U with off-diagonal ones doubled, finishes G, set to (G + G^T) / 2:
-      d^2 k m + |U| m multiply-adds.  A buffer of more than ``_F_ENTRIES``
-      entries is taken in chunks of readings, each chunk's entries cleared
-      after its product.
-    * support-row side, otherwise:
+    The Gram matrix ``G[i, j] = Tr(A_i W A_j W) = <A_i, W A_j W>`` needs
+    W A_j W only at the set U of upper-triangle positions (c, b), c <= b,
+    where some A_i has a term (Fujisawa, Kojima & Nakata, Math. Programming
+    79, 1997, their formula F2).  Q is scattered into a (d, d, m) buffer F
+    with ``F[b, a, j] = (A_j W)[a, b]``; its nonzero positions never change,
+    so it is allocated once and never re-zeroed.  One batched product
+    ``W[rows] @ F``, ``rows[b]`` the rows c of U in column b padded to the
+    longest list (k), gives ``(W A_j W)[c, b]`` for every j, and one sparse
+    product with A_U, the m x |U| coefficients at U with off-diagonal ones
+    doubled, finishes G, set to (G + G^T) / 2: d^2 k m + |U| m multiply-adds.
+    A buffer of more than ``_F_ENTRIES`` entries is taken in chunks of
+    readings, each chunk's entries cleared after its product.
 
-          G[i, j] = sum over r = (i, a), t = (j, b) of Q[r, b] * Q[t, a],
+    Near a rank-one optimum this G, a sum of entries of a W whose eigenvalues
+    spread over many orders of magnitude, loses some of its PSD structure to
+    rounding.  The Schur factor's jitter (``_factor_spd``) covers that; where
+    it cannot, the loop returns its last good iterate (``_interior_point``).
 
-      taken as ``K = Q[:, sup]`` (ns x ns) and ``G = Sel (K o K^T) Sel^T``,
-      Sel the m x ns owner selector, its upper triangle mirrored from the
-      lower one, which is the one the factor reads.
-
-    Crossover: time of one Gram in ms, term / support side (10th percentile
-    of 30 to 200 calls at a random positive definite W, one BLAS thread,
-    2-core x86-64 host), on problems built as ``test_gram_matches_reference``
-    builds its cases (truth seed 2, L0, anchor 0; the full plan, or the
-    one-sided one with negate repair): chain ``chain_doc(10, seed=3)``,
-    trees ``tree_doc(n, seed=7, trunk_bias=3)`` (the 200-bus one
-    ``seed=9``), meshed ``tree_doc(n, seed=5, meshed_extra=e)``, the
-    multiphase feeder and its 13-node head:
-
-        problem                      m     d     ns  m d^2/ns^2   term / support
-        chain 10, full              66    19    267     0.33      0.09 /   0.36
-        head, full                 151    25    729     0.18      0.38 /   3.38
-        head, one-sided             93    25    378     0.41      0.17 /   0.73
-        multiphase, full           494    75   2487     0.45      7.27 /  87.6
-        multiphase, one-sided      294    75   1182     1.18      3.64 /  11.5
-        tree 34, full              234    67    987     1.08      1.37 /   4.90
-        tree 34, one-sided         102    67    400     2.86      0.49 /   0.77
-        meshed 34 (e=6), one-s.    120    67    476     2.38      0.72 /   0.83
-        meshed 50 (e=8), one-s.    174    99    694     3.54      1.75 /   2.11
-        tree 102, full             710   203   3027     3.19     52.7  / 143
-        tree 50, one-sided         150    99    592     4.19      1.29 /   1.68
-        meshed 80 (e=10), one-s.   270   159   1079     5.86     10.5  /   8.04
-        tree 102, one-sided        306   203   1216     8.53     13.0  /  14.8
-        tree 200, one-sided        600   399   2397    16.6     230    / 107
-
-    Both sides read memory more than they compute, so the rule compares the
-    term side's buffer, m d^2, with the support side's K, ns^2.  Between a
-    ratio of about 3.5 and 9 the two tie within the timing's spread (other
-    runs of the same cases gave either side the 50- and 102-bus one-sided
-    trees); above it the support side wins, below it the term side, by up to
-    12x.  The rule's 4 sits at the low end of the tie.
-
-    Near a rank-one optimum the term side's G, a sum of entries of a W whose
-    eigenvalues spread over many orders of magnitude, loses the PSD
-    structure of G to rounding: on a draw of the 13-node head whose solve
-    failed, the smallest eigenvalue of G + Sigma/2, which the readings'
-    Sigma/2 (1.1e-8 there) keeps positive, came out negative one iteration
-    before the packed form's.  So once G's largest diagonal entry passes
-    ``_SCHUR_RANGE`` times the smallest Sigma/2, the solve goes on with the
-    packed form: with W = R R^T, ``G = P^T P``, P's column j the upper
-    triangle of R^T A_j R with off-diagonal entries weighted by sqrt(2),
-    which is PSD to rounding whatever W's spread.  ``Z[a, j] = (A_j R)[a]``
-    is scattered from ``M @ R`` into its own (d, m, d) buffer, allocated
-    once and never re-zeroed, and one product ``R^T @ Z`` gives every R^T
-    A_j R.  That takes the last fifth of the iterations.  Solves that end
-    in ``numerical_failure`` on the 13-node head, full plan, tol 1e-9,
-    truth and noise seed s:
-
-        G                               L2, s < 5000    L1, s < 2000
-        packed form alone                    0              112
-        term side alone                 1 of s < 1500       214
-        term side, then packed form          0              119
-
-    119 against 112 is within the draw-to-draw spread (about 15 at these
-    counts).  Those failures are the dense cone's stall near a rank-one
-    optimum, which no form of G removes.
-
-    The positions, the buffers and Sel are built at the first ``gram`` call
-    that needs them: the clique cone uses the table only for the polish, and
-    never calls it.
+    The positions and the buffer are built at the first ``gram`` call: the
+    clique cone uses the table only for the polish, and never calls it.
     """
 
     blocks = 1
@@ -396,10 +330,6 @@ class _Terms(_Cone):
         self.sup = self.p[starts]
         indptr = np.append(starts, self.n_terms)
         self.M = sp.csr_matrix((self.c, self.q, indptr), shape=(ns, d))
-        self._term_side = m * d * d <= 4 * ns * ns
-        # Sigma/2 is half the reading variances.
-        self._packed_above = _SCHUR_RANGE * 0.5 * float(np.min(problem.sigma)) ** 2
-        self._packed = False
         self.parts = [_Part(slice(0, m), slice(0, 0), slice(None), d, 1)]
 
     @cached_property
@@ -427,7 +357,7 @@ class _Terms(_Cone):
 
     @cached_property
     def _chunks(self) -> Tuple[np.ndarray, list]:
-        """The term side's buffer F, (d, d, w) with ``F[b, a, j] = (A_j X)[a,
+        """The Gram buffer F, (d, d, w) with ``F[b, a, j] = (A_j X)[a,
         b]`` for the w readings of one chunk (at most ``_F_ENTRIES`` entries
         unless w = 1), and per chunk its readings, its support rows and where
         their entries land in ``F.reshape(d, d w)``."""
@@ -440,39 +370,10 @@ class _Terms(_Cone):
             chunks.append((slice(j, min(j + w, m)), slice(r0, r1), at))
         return np.zeros((d, d, w)), chunks
 
-    @cached_property
-    def Sel(self) -> sp.csr_matrix:
-        ns = len(self.own)
-        return sp.csr_matrix(
-            (np.ones(ns), (self.own, np.arange(ns))), shape=(self.m, ns)
-        )
-
-    @cached_property
-    def _pack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The packed form's (d, m, d) buffer, never re-zeroed, and the
-        upper triangle's indices with their sqrt(2) packing weights."""
-        iu, ju = np.triu_indices(self.d)
-        weight = np.where(iu == ju, 1.0, np.sqrt(2.0))[:, None]
-        return np.zeros((self.d, self.m, self.d)), iu, ju, weight
-
-    def gram(self, W: np.ndarray, R: np.ndarray) -> np.ndarray:
-        """G[i, j] = Tr(A_i W A_j W), given W and a square factor R with
-        W = R R^T, by the side the rule picks.  On the term side, once G's
-        largest diagonal entry passes ``_packed_above``, this and every
-        later call take the packed form."""
-        if not self._term_side:
-            return self.gram_support(W)
-        if not self._packed:
-            G = self.gram_terms(W)
-            if _diagonal(G).max() <= self._packed_above:
-                return G
-            self._packed = True
-        return self.gram_packed(R)
-
-    def gram_terms(self, W: np.ndarray) -> np.ndarray:
-        """<A_i, W A_j W> from W A_j W at the term positions U, exactly
-        symmetric.  The support rows' entries of F are cleared after use
-        when F holds one chunk of several; its other entries stay zero."""
+    def gram(self, W: np.ndarray) -> np.ndarray:
+        """G[i, j] = Tr(A_i W A_j W), exactly symmetric, from W A_j W at the
+        term positions U.  The support rows' entries of F are cleared after
+        use when F holds one chunk of several; its other entries stay zero."""
         rows, A_U = self._positions
         F, chunks = self._chunks
         flat = F.reshape(self.d, -1)
@@ -486,28 +387,6 @@ class _Terms(_Cone):
             if len(chunks) > 1:
                 flat[:, at] = 0.0
         return 0.5 * (G + G.T)
-
-    def gram_packed(self, R: np.ndarray) -> np.ndarray:
-        """G = P^T P, P's column j the upper triangle of R^T A_j R with
-        off-diagonal entries weighted by sqrt(2): exactly symmetric, and PSD
-        to rounding.  ``Q = M @ R`` is scattered into the buffer Z with
-        ``Z[a, j] = (A_j R)[a]``, and one product ``R^T @ Z`` gives every
-        R^T A_j R."""
-        m, d = self.m, self.d
-        Z, iu, ju, weight = self._pack
-        Z[self.sup, self.own] = self.M @ R
-        B = (R.T @ Z.reshape(d, m * d)).reshape(d, m, d)
-        P = B[iu, :, ju]
-        P *= weight
-        return P.T @ P
-
-    def gram_support(self, W: np.ndarray) -> np.ndarray:
-        """G from the support-row table's Hadamard product, exactly
-        symmetric."""
-        K = (self.M @ W)[:, self.sup]
-        G = self.Sel @ (self.Sel @ (K * K.T)).T
-        # Mirrored from the lower triangle, the one the factor reads.
-        return np.tril(G) + np.tril(G, -1).T
 
     def factor_schur(self, G: np.ndarray, shift: np.ndarray) -> Optional[np.ndarray]:
         """The factor of G plus ``shift`` on the diagonal of the first rows
@@ -620,7 +499,7 @@ def _branch_cliques(
     seed=11, trunk_bias=4)`` (d = 57 to 133) it took 42 iterations at tol
     1e-7, against a median of 28 and at most 34 alone, and 2.0 s against
     1.6 s for the fifty solves; at tol 1e-9 it converged all fifty in 2.4 s,
-    where six of the solves alone end in ``numerical_failure``.
+    where six of the solves alone once ended in ``numerical_failure``.
 
     Returns, per clique in breadth-first order from the first anchor, its
     child node a, its parent node and its parent clique (-1 for the first);
@@ -817,7 +696,7 @@ class _CliqueTerms(_Cone):
         self._cell = (gj * (bw + 1) + gi - gj)[lower]
         self._gpos = ((eblk[pe] * rmax + li[pe]) * rmax + li[pf])[lower]
 
-    def gram(self, W: np.ndarray, R: np.ndarray) -> np.ndarray:
+    def gram(self, W: np.ndarray) -> np.ndarray:
         """G[i, j] = sum over cliques K of Tr(C_i^K What_K C_j^K What_K) =
         vec(C_i^K)^T (What_K kron What_K) vec(C_j^K), for every pair of
         entries of one block at once, scattered into G's lower band: G in
@@ -994,7 +873,7 @@ def _linearize(
     R, lam = scaling
     Wh = R @ R.swapaxes(-1, -2)
     # Sigma/2 on the readings' rows; the hard rows have none.
-    F = op.factor_schur(op.gram(Wh, R), 0.5 / w)
+    F = op.factor_schur(op.gram(Wh), 0.5 / w)
     if F is None:
         return None
     rhs0 = Rp - op.values(Wh @ Rd @ Wh)
@@ -1112,7 +991,15 @@ def _interior_point(op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float)
     once: one step length, mu and sigma, and a stop once every part meets
     the stopping test on its own blocks and rows.  Returns the last iterate
     W, the iterations taken, and each part's status, dual bound and largest
-    primal residual |Rp| at W."""
+    primal residual |Rp| at W.
+
+    An iterate with no Newton direction (``_linearize`` fails) ends the loop
+    at the last iterate that had one, where each part is ``converged`` if it
+    meets the stopping test, ``stalled`` if it is dual feasible and meets
+    the gap test at max(tol, 1e-6), else ``numerical_failure``; the parts
+    all fail when the start has none.  That iterate, with its iteration
+    count, is the one kept, not a copy: W and r are rebound by each step,
+    never changed in place."""
     m, size, parts = len(z), op.size, op.parts
     AW = op.values(W)
     res = z - AW[:m]
@@ -1127,12 +1014,14 @@ def _interior_point(op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float)
     iterations = 0
     status = "converged"
     feasible: List[List[np.ndarray]] = [[] for _ in parts]
-    done = [False] * len(parts)
+    good = None
 
     while True:
         AW = op.values(W)
         res = z - AW[:m]
         Rd = S + op.accumulate(op.multipliers(w, r))
+        # Per part: dual feasible, its gap <W, S> and its misfit.
+        tests = []
         for k, part in enumerate(parts):
             b, a = part.blocks, part.reads
             Sk = S[b]
@@ -1142,12 +1031,9 @@ def _interior_point(op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float)
             # certificate: every dual-feasible iterate is a candidate.
             if dual_feasible:
                 feasible[k].append(r)
-            done[k] = dual_feasible and _converged(
-                float(np.vdot(W[b], Sk)),
-                float(np.dot(w[a], res[a] * res[a])),
-                tol,
-                part.size,
-            )
+            gap = float(np.vdot(W[b], Sk))
+            tests.append((dual_feasible, gap, float(np.dot(w[a], res[a] * res[a]))))
+        done = [f and _converged(g, e, tol, p.size) for (f, g, e), p in zip(tests, parts)]
         if all(done):
             break
         if iterations >= MAX_ITERATIONS:
@@ -1158,6 +1044,7 @@ def _interior_point(op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float)
         if lin is None:
             status = "numerical_failure"
             break
+        good = W, r, tests, iterations
         R, lam, direction = lin
         mu = float(np.vdot(lam, lam)) / size
         s = _pair_scale(lam)
@@ -1177,10 +1064,19 @@ def _interior_point(op, w: np.ndarray, z: np.ndarray, W: np.ndarray, tol: float)
         S = S + t * dS
         r = r + t * dr
         iterations += 1
-    if status == "numerical_failure":
+    if status != "numerical_failure":
+        statuses = ["converged" if ok else "max_iter" for ok in done]
+    elif good is None:
         statuses = [status] * len(parts)
     else:
-        statuses = ["converged" if ok else "max_iter" for ok in done]
+        W, r, tests, iterations = good
+        stall_tol = max(tol, 1e-6)
+        statuses = [
+            "converged" if f and _converged(g, e, tol, p.size)
+            else "stalled" if f and _converged(g, e, stall_tol, p.size)
+            else status
+            for (f, g, e), p in zip(tests, parts)
+        ]
     bounds = [_best_bound(op, w, z, c, part) for c, part in zip(feasible, parts)]
     AW = op.values(W)
     Rp = np.abs(np.concatenate([z - r[:m] - AW[:m], op.b - AW[m:]]))

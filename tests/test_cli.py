@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -6,6 +7,9 @@ from click.testing import CliRunner
 import netgen
 from test_partition import one_sided_chain_plan
 
+import sdpse.cli
+import sdpse.solver
+from sdpse.baddata import run_bad_data
 from sdpse.cli import main
 from sdpse.measurements import save_measurements, save_state
 from sdpse.network import parse_network
@@ -381,6 +385,20 @@ def test_monolithic_estimate_builds_the_matrix_set_once(workdir, synth0, monkeyp
     assert len(builds) == 1
 
 
+def test_estimate_with_no_newton_direction_exits_4(workdir, synth0, monkeypatch):
+    # The start itself gives no Newton direction, so there is no good
+    # iterate to return: numerical_failure, which finish raises.
+    monkeypatch.setattr(sdpse.solver, "_linearize", lambda *args: None)
+    res = run_cli(
+        ["estimate", "--network", str(workdir["net"]),
+         "--measurements", str(synth0),
+         "--anchors", str(workdir["anchors"]),
+         "--out", str(workdir["root"] / "est_no_direction")]
+    )
+    assert res.exit_code == 4, res.output
+    assert "solver failed to produce a PSD iterate" in res.output
+
+
 def test_observability_command(workdir, synth0):
     out = workdir["root"] / "obs"
     res = run_cli(
@@ -462,7 +480,10 @@ def test_stats_command(workdir, estimated):
     assert (out / "histogram.csv").exists()
 
 
-def test_baddata_command(workdir):
+@pytest.fixture(scope="module")
+def bad_meas(workdir):
+    """Noise-free readings of every kind at both ends, with the P injection
+    at b3 off by 0.4."""
     synth_out = workdir["root"] / "synth_full"
     run_cli(
         ["synth", "--network", str(workdir["net"]), "--state", str(workdir["truth"]),
@@ -476,10 +497,14 @@ def test_baddata_command(workdir):
             break
     bad_file = workdir["root"] / "bad_meas.json"
     bad_file.write_text(json.dumps(doc))
+    return bad_file
+
+
+def test_baddata_command(workdir, bad_meas):
     out = workdir["root"] / "baddata"
     res = run_cli(
         ["baddata", "--network", str(workdir["net"]),
-         "--measurements", str(bad_file),
+         "--measurements", str(bad_meas),
          "--anchors", str(workdir["anchors"]),
          "--state", str(workdir["truth"]),
          "--out", str(out)]
@@ -491,6 +516,22 @@ def test_baddata_command(workdir):
     assert rep["culprits"][0]["location"] == {"bus": "b3", "phase": "A"}
     stats = json.loads((out / "error_stats.json").read_text())
     assert stats["voltage_magnitude_pu"]["maximum"] < 1e-4
+
+
+def test_baddata_over_budget_exits_5(workdir, bad_meas, monkeypatch):
+    # With a budget of no combinations, the one suspect set of the bad
+    # injection is already over it.
+    monkeypatch.setattr(
+        sdpse.cli, "run_bad_data", functools.partial(run_bad_data, max_combinations=0)
+    )
+    res = run_cli(
+        ["baddata", "--network", str(workdir["net"]),
+         "--measurements", str(bad_meas),
+         "--anchors", str(workdir["anchors"]),
+         "--out", str(workdir["root"] / "baddata_budget")]
+    )
+    assert res.exit_code == 5, res.output
+    assert "exceed the budget of 0" in res.output
 
 
 @pytest.mark.parametrize("threshold", ["0", "-1"])

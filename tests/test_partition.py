@@ -27,7 +27,8 @@ from sdpse.partition import (
     separate_on_switches,
     validate_plan,
 )
-from sdpse.pipeline import estimate
+import sdpse.partition
+from sdpse.pipeline import estimate, estimate_with_plan
 from sdpse.sdpmat import build_matrix_set
 
 
@@ -186,6 +187,29 @@ def test_decoupled_ignores_the_order_of_sub_networks():
     V_rev, reports_rev = estimate_decoupled(model, meas, reverse)
     assert [r.status for r in reports + reports_rev] == ["converged"] * 24
     np.testing.assert_allclose(V_rev, V_dec, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "statuses, merged",
+    [({}, "converged"), ({3: "stalled", 7: "max_iter"}, "stalled"), ({5: "max_iter"}, "max_iter")],
+    ids=["converged", "stalled-first", "max-iter"],
+)
+def test_merged_status_is_the_first_unconverged_sub_networks(statuses, merged, monkeypatch):
+    # The merged estimate reports the first sub-network, in plan order, that
+    # did not converge, with that sub-network's own status.
+    model, V, meas, plan = netgen.anchored_plan_case(96, 8)
+    solve_many = sdpse.partition.solve_many
+
+    def marked(problems, config=None):
+        reports = solve_many(problems, config)
+        return [replace(r, status=statuses.get(k, r.status)) for k, r in enumerate(reports)]
+
+    monkeypatch.setattr(sdpse.partition, "solve_many", marked)
+    result = estimate_with_plan(model, meas, plan)
+    assert result.status == merged
+    assert [s.status for s in result.sub_reports] == [
+        statuses.get(k, "converged") for k in range(len(plan.sub_networks))
+    ]
 
 
 def test_decoupled_forest_matches_monolithic_and_truth_at_zero_noise():

@@ -252,13 +252,13 @@ def random_pd(d, seed):
 
 
 GRAM_CASES = pytest.mark.parametrize(
-    "doc, plan_kind, repair, term_side, max_support",
+    "doc, plan_kind, repair, max_support",
     [
-        (lambda: netgen.chain_doc(6, seed=4), "full", False, True, 6),
-        (lambda: netgen.tree_doc(34, seed=7, trunk_bias=3), "full", False, True, 8),
-        (lambda: netgen.tree_doc(200, seed=9), "one_sided", True, False, 13),
-        (netgen.multiphase_feeder_doc, "full", False, True, 24),
-        (netgen.multiphase_feeder_doc, "one_sided", True, True, 8),
+        (lambda: netgen.chain_doc(6, seed=4), "full", False, 6),
+        (lambda: netgen.tree_doc(34, seed=7, trunk_bias=3), "full", False, 8),
+        (lambda: netgen.tree_doc(200, seed=9), "one_sided", True, 13),
+        (netgen.multiphase_feeder_doc, "full", False, 24),
+        (netgen.multiphase_feeder_doc, "one_sided", True, 8),
     ],
     ids=[
         "chain6-full", "tree34-full", "tree200-one-sided", "multiphase-full",
@@ -268,61 +268,33 @@ GRAM_CASES = pytest.mark.parametrize(
 
 
 @GRAM_CASES
-def test_gram_matches_reference(doc, plan_kind, repair, term_side, max_support):
+def test_gram_matches_reference(doc, plan_kind, repair, max_support):
     model = netgen.model_from(doc())
     prob, keep, terms = gram_case(model, plan_kind, repair)
     m, d = terms.m, terms.d
     # Support rows: the (measurement, index) pairs whose row of A_i is nonzero.
     pairs = {(int(i), int(a)) for i, a in zip(terms.row, terms.p)}
-    ns = len(pairs)
-    # The measured crossover of the _Terms docstring.
-    assert (m * d * d <= 4 * ns * ns) == term_side
     assert max(np.bincount([i for i, _ in pairs])) == max_support
     ids = reference_rows(m, d)
     A = np.array([reduced_dense(prob, keep, i) for i in ids])
     # Two different W in a row: entries left over from the first call must
-    # not leak into the second.  Every formula is exact, whichever the rule
-    # picks; on the 200-bus tree the term side's (d, d, m) buffer would be
-    # 764 MB, so it runs there in chunks of readings.
+    # not leak into the second.  On the 200-bus tree the (d, d, m) buffer
+    # would be 764 MB, so it runs there in chunks of readings.
     for seed in (3, 5):
         W = random_pd(d, seed)
-        L = _chol(W)
         AW = A @ W
         ref = np.tensordot(AW, AW, axes=([1, 2], [2, 1]))
-        formulas = [terms.gram_terms(W), terms.gram_support(W)]
-        if term_side:
-            # The packed form, which the term side hands over to, keeps an
-            # unchunked (d, m, d) buffer.
-            formulas.append(terms.gram_packed(L))
-        for G in formulas:
-            assert G.shape == (m, m)
-            assert np.array_equal(G, G.T)
-            np.testing.assert_allclose(
-                G[np.ix_(ids, ids)], ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max()
-            )
-        picked = terms.gram_terms(W) if term_side else terms.gram_support(W)
-        np.testing.assert_array_equal(terms.gram(W, L), picked)
+        G = terms.gram(W)
+        assert G.shape == (m, m)
+        assert np.array_equal(G, G.T)
+        np.testing.assert_allclose(
+            G[np.ix_(ids, ids)], ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max()
+        )
     assert (len(terms._chunks[1]) > 1) == (m * d * d > sdpse.solver._F_ENTRIES)
 
 
-def test_term_side_hands_over_to_the_packed_form():
-    # Once G's largest diagonal entry passes _packed_above, this and every
-    # later Gram of the solve is the packed form.
-    terms = _reduce(multiphase_problem())[1]
-    assert terms._term_side
-    W = random_pd(terms.d, 3)
-    # G scales as the square of W: one W below the bound, one above.
-    top = np.diag(terms.gram_terms(W)).max()
-    small, big = (np.sqrt(f * terms._packed_above / top) * W for f in (0.5, 2.0))
-    G = terms.gram(small, _chol(small))
-    np.testing.assert_array_equal(G, terms.gram_terms(small))
-    for X in (big, small):
-        L = _chol(X)
-        np.testing.assert_array_equal(terms.gram(X, L), terms.gram_packed(L))
-
-
 @GRAM_CASES
-def test_term_table_matches_reference(doc, plan_kind, repair, term_side, max_support):
+def test_term_table_matches_reference(doc, plan_kind, repair, max_support):
     model = netgen.model_from(doc())
     prob, keep, terms = gram_case(model, plan_kind, repair)
     m, d = terms.m, terms.d
@@ -796,8 +768,8 @@ def test_non_pd_initial_w_falls_back_to_identity():
 
 
 def test_repeated_solve_is_deterministic():
-    # The term-side Gram reuses one buffer across iterations without
-    # re-zeroing it; nothing may carry over from one solve into the next.
+    # The Gram reuses one buffer across iterations without re-zeroing it;
+    # nothing may carry over from one solve into the next.
     model = netgen.model_from(netgen.chain_doc(6, seed=0))
     mats = build_matrix_set(model)
     V = netgen.random_state(model, seed=1)
@@ -805,7 +777,6 @@ def test_repeated_solve_is_deterministic():
         model, mats, state_to_X(V), full_plan(model, mats), NoiseSpec(level=2, seed=0)
     )
     prob = assemble_problem(mats, meas, anchors=[0])
-    assert _reduce(prob)[1]._term_side
     first, second = solve(prob), solve(prob)
     np.testing.assert_array_equal(first.W, second.W)
     assert first.objective == second.objective
@@ -971,15 +942,38 @@ def test_clique_rule_sides():
     assert [r.blocks for r in solve_many(chains, started)] == [1, 1, 1]
 
 
-def multiphase_problem():
-    """The multiphase head with its full plan at L2."""
+def multiphase_problem(level=2, truth_seed=2, noise_seed=0):
+    """The multiphase head with its full plan."""
     model = netgen.model_from(multiphase_head_doc())
     mats = build_matrix_set(model)
     meas = synthesize(
-        model, mats, state_to_X(netgen.random_state(model, seed=2)),
-        full_plan(model, mats), NoiseSpec(level=2, seed=0),
+        model, mats, state_to_X(netgen.random_state(model, seed=truth_seed)),
+        full_plan(model, mats), NoiseSpec(level=level, seed=noise_seed),
     )
     return assemble_problem(mats, meas, anchors=[0])
+
+
+def test_stall_returns_the_last_good_iterate():
+    # ROADMAP item 1: near the head's rank-one optimum at L1 the next iterate
+    # can have no Newton direction (seeds 2, 19, 36 and 53 once ended in
+    # numerical_failure).  The loop returns the last iterate that had one,
+    # and a stalled solve polishes to the state of a looser converged one.
+    statuses = []
+    for seed in range(60):
+        prob = multiphase_problem(1, seed, seed)
+        report = solve(prob)
+        statuses.append(report.status)
+        if report.status == "stalled":
+            ref = solve(prob, SolverConfig(convergence_tol=1e-7))
+            assert ref.status == "converged"
+            np.testing.assert_allclose(
+                polished_state(report, prob.anchors), polished_state(ref, prob.anchors),
+                rtol=0, atol=1e-9,
+            )
+            assert report.objective == pytest.approx(ref.objective, rel=1e-9)
+            assert report.dual_bound <= report.objective
+    assert "numerical_failure" not in statuses
+    assert "stalled" in statuses
 
 
 def plan_problems(n, size, vmag_buses=(0,)):
@@ -1028,12 +1022,12 @@ def test_batch_agrees_with_solo_solves(n, size, vmag_buses, tol):
     assert len({r.iterations for r in batch}) == 1
     for prob, joint in zip(problems, batch):
         alone = solve(prob, config)
-        if alone.status == "numerical_failure":
-            # ROADMAP item 1: at tol 1e-9 the solo solve of c06's first
-            # sub-network fails near its rank-one optimum, where the joint
-            # loop converges; it is held to the solve at tol 1e-7 instead.
-            alone = solve(prob, SolverConfig(convergence_tol=1e-7))
-        assert joint.status == alone.status == "converged"
+        # ROADMAP item 1: at tol 1e-9 the solo solve of c06's first
+        # sub-network stalls near its rank-one optimum, where the joint loop
+        # converges; its last good iterate polishes to the joint state all
+        # the same (within 3e-14).
+        assert joint.status == "converged"
+        assert alone.status in ("converged", "stalled")
         assert joint.blocks == prob.dim // 2 - 1
         np.testing.assert_allclose(
             polished_state(joint, prob.anchors), polished_state(alone, prob.anchors),
@@ -1115,7 +1109,7 @@ def test_clique_schur_band_matches_dense_reference(monkeypatch):
     np.add.at(C, (op.row, op.flat), op.c)
     CW = C.reshape(N, op.blocks, 4, 4) @ W
     ref = np.einsum("ikab,jkba->ij", CW, CW)
-    band = op.gram(W, None)
+    band = op.gram(W)
     assert band.shape == (bw + 1, N)
     assert bw == 18
     # Expanded: the band in RCM order, mirrored, then put back in row order.
@@ -1144,7 +1138,7 @@ def test_clique_schur_storage_at_1000_buses():
     _, op = clique_cone(prob)
     assert (op.blocks, op.n_rows) == (999, 6034)
     assert op.bandwidth <= 64
-    assert op.gram(op.identity(0.1), None).shape == (op.bandwidth + 1, op.n_rows)
+    assert op.gram(op.identity(0.1)).shape == (op.bandwidth + 1, op.n_rows)
 
 
 def test_clique_solve_at_400_buses():
@@ -1173,10 +1167,9 @@ def test_dense_cone_ignores_reading_order(doc):
     prob2 = assemble_problem(mats, [meas[i] for i in order], anchors=[0])
     terms, terms2 = _reduce(prob)[1], _reduce(prob2)[1]
     W = random_pd(terms.d, 3)
-    L = _chol(W)
-    G = terms.gram(W, L)
+    G = terms.gram(W)
     np.testing.assert_allclose(
-        terms2.gram(W, L), G[np.ix_(order, order)], rtol=0, atol=1e-12 * np.abs(G).max()
+        terms2.gram(W), G[np.ix_(order, order)], rtol=0, atol=1e-12 * np.abs(G).max()
     )
     report, report2 = solve(prob), solve(prob2)
     assert report.blocks == report2.blocks == 1
